@@ -1,7 +1,7 @@
 //! Measures offline-detector throughput and writes `BENCH_detector.json`
 //! so future PRs can track the hot path.
 //!
-//! Four configurations are timed over identical full-logging event logs:
+//! Three configurations are timed over identical full-logging event logs:
 //!
 //! * **seed** — a faithful replica of the original sequential detector
 //!   (one full `VectorClock` clone per memory access, clone-heavy
@@ -9,8 +9,7 @@
 //! * **vcfrontier** — the pre-epoch sequential detector (clone-free
 //!   accesses, fast hasher, per-location `Vec<Access>` frontiers): the
 //!   self-relative baseline the adaptive epoch engine must beat;
-//! * **sequential** — today's `detect` (adaptive epoch access history);
-//! * **sharded-N** — `detect_sharded` at 2, 4 and 8 worker threads.
+//! * **sequential** — today's `detect` (adaptive epoch access history).
 //!
 //! Beyond throughput the run records the detector's **peak allocated
 //! bytes** (via a counting global allocator) for the vcfrontier and epoch
@@ -19,9 +18,7 @@
 //! inline representation pay.
 //!
 //! Events/sec counts *log records processed*. Numbers are best-of-`repeats`
-//! wall-clock; on a single-core host the sharded rows measure scheduling
-//! overhead rather than parallel speedup, so the honest headline there is
-//! sharded vs the seed path (both reported).
+//! wall-clock.
 //!
 //! The checkpoint columns size a midpoint snapshot of each workload's
 //! detector state (sealed bytes, serialize/parse MB/s) and time a full
@@ -40,8 +37,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use literace::detector::{
-    detect, detect_sharded, Checkpoint, DetectConfig, DynamicRace, HbDetector, RaceReport,
-    VectorClock,
+    detect, Checkpoint, DynamicRace, HbDetector, RaceReport, VectorClock,
 };
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{EventLog, Record};
@@ -574,7 +570,6 @@ struct Row {
     seed_eps: f64,
     vcfrontier_eps: f64,
     sequential_eps: f64,
-    sharded_eps: Vec<(usize, f64)>,
     peak_vc_bytes: usize,
     peak_epoch_bytes: usize,
     escalations: u64,
@@ -763,7 +758,6 @@ fn main() {
             WorkloadId::DryadStdlib,
         ]
     });
-    let thread_counts = [2usize, 4, 8];
 
     let mut rows = Vec::new();
     for &id in &workloads {
@@ -838,21 +832,6 @@ fn main() {
             &seq_report,
         );
 
-        let mut sharded_eps = Vec::new();
-        for &threads in &thread_counts {
-            let cfg = DetectConfig::with_threads(threads);
-            let mut sharded_report: Option<RaceReport> = None;
-            let secs = time_best(repeats, || {
-                sharded_report = Some(detect_sharded(&log, non_stack, &cfg));
-            });
-            assert_eq!(
-                seq_report,
-                sharded_report.expect("sharded ran"),
-                "{id}: sharded({threads}) must be byte-identical"
-            );
-            sharded_eps.push((threads, events_per_sec(records, secs)));
-        }
-
         rows.push(Row {
             name: id.name().to_owned(),
             records,
@@ -860,7 +839,6 @@ fn main() {
             seed_eps: events_per_sec(records, seed_secs),
             vcfrontier_eps: events_per_sec(records, vc_secs),
             sequential_eps: events_per_sec(records, seq_secs),
-            sharded_eps,
             peak_vc_bytes,
             peak_epoch_bytes,
             escalations,
@@ -887,18 +865,15 @@ fn main() {
          'seed' replicates the original clone-per-access sequential detector; \
          'vcfrontier' replicates the pre-epoch clone-free detector (Vec \
          frontier per location) — the self-relative baseline for the epoch \
-         engine; 'sequential' is today's adaptive epoch hot path; sharded \
-         rows add address-sharded workers. All engines are asserted \
-         byte-identical during the run. peak_detector_bytes is heap high \
+         engine; 'sequential' is today's adaptive epoch hot path. All \
+         engines are asserted byte-identical during the run. peak_detector_bytes is heap high \
          water over the run's baseline from a counting allocator; \
          epoch_escalation_rate is escalated transitions per memory record. \
          checkpoint_* columns snapshot detector state at the log midpoint: \
          sealed size, serialize/parse MB/s, and the resumed detection rate \
          (parse + rebuild + replay the suffix), asserted byte-identical to \
          one-shot detection; resume_ratio_vs_sequential is the \
-         --check-resume-overhead gate input. On a 1-CPU host sharded \
-         speedup over 'sequential' is not expected — track sharded vs \
-         'seed'.\",\n",
+         --check-resume-overhead gate input.\",\n",
     );
     json.push_str("  \"workloads\": [\n");
     for (wi, row) in rows.iter().enumerate() {
@@ -918,19 +893,6 @@ fn main() {
             "      \"sequential_events_per_sec\": {},\n",
             json_f64(row.sequential_eps)
         ));
-        json.push_str("      \"sharded_events_per_sec\": {");
-        for (ti, (threads, eps)) in row.sharded_eps.iter().enumerate() {
-            json.push_str(&format!("\"{threads}\": {}", json_f64(*eps)));
-            if ti + 1 < row.sharded_eps.len() {
-                json.push_str(", ");
-            }
-        }
-        json.push_str("},\n");
-        let sharded4 = row
-            .sharded_eps
-            .iter()
-            .find(|(t, _)| *t == 4)
-            .map_or(0.0, |(_, e)| *e);
         json.push_str(&format!(
             "      \"speedup_sequential_vs_seed\": {},\n",
             json_f64(row.sequential_eps / row.seed_eps)
@@ -938,10 +900,6 @@ fn main() {
         json.push_str(&format!(
             "      \"speedup_epoch_vs_vcfrontier\": {},\n",
             json_f64(row.sequential_eps / row.vcfrontier_eps)
-        ));
-        json.push_str(&format!(
-            "      \"speedup_sharded4_vs_seed\": {},\n",
-            json_f64(sharded4 / row.seed_eps)
         ));
         json.push_str(&format!(
             "      \"peak_detector_bytes\": {{\"vcfrontier\": {}, \"epoch\": {}}},\n",

@@ -21,10 +21,9 @@
 //!   baseline (`run_baseline`), for the inline sink and the pipelined
 //!   sink — the number the write pipeline exists to shrink;
 //! * **end-to-end detection** — events/s for materialize-then-detect
-//!   (`read_log_auto` + `detect_sharded`) vs streaming ingest (the decode
-//!   pool + `detect_stream`, decode overlapping shard routing and
-//!   replay), both over the v2 encoding at 4 worker threads, with the
-//!   reports asserted byte-identical.
+//!   (`read_log_auto` + `detect`) vs streaming ingest (the decode pool +
+//!   `detect_stream`, decode overlapping detection), both over the v2
+//!   encoding, with the reports asserted byte-identical.
 //!
 //! Numbers are best-of-`repeats` wall-clock. On a single-core host the
 //! streaming, pool and encode-pool rows measure pipelining overhead
@@ -45,13 +44,13 @@
 //! have nowhere to run.
 //!
 //! Usage: `bench_pipeline [--scale smoke|paper] [--seeds N]
-//! [--workloads a,b,c] [--out PATH] [--repeats N] [--threads N]
+//! [--workloads a,b,c] [--out PATH] [--repeats N]
 //! [--decode-threads N] [--encode-threads a,b,c] [--block-records N]
 //! [--check-decode-vs-v1] [--check-encode-vs-inline]`
 
 use std::time::Instant;
 
-use literace::detector::{detect_sharded, detect_stream, DetectConfig, RaceReport};
+use literace::detector::{detect, detect_stream, HbConfig, RaceReport};
 use literace::instrument::{InstrumentConfig, Instrumenter, V2Sink};
 use literace::log::{
     encode_v2, encode_v2_rev, log_to_bytes, read_log_auto, DecodeOpts, EncodeOpts,
@@ -140,7 +139,6 @@ fn main() {
     let mut repeats = 5usize;
     let mut scale = Scale::Smoke;
     let mut seeds = vec![1u64];
-    let mut threads = 4usize;
     let mut decode_threads =
         std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     let mut check_decode = false;
@@ -163,13 +161,6 @@ fn main() {
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .expect("--repeats expects a number");
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads expects a number");
             }
             "--decode-threads" => {
                 i += 1;
@@ -299,11 +290,10 @@ fn main() {
             assert_eq!(n, records);
         });
 
-        let cfg = DetectConfig::with_threads(threads);
         let mut mat_report: Option<RaceReport> = None;
         let mat_secs = time_best(repeats, || {
             let decoded = read_log_auto(&v2[..]).expect("v2 decodes");
-            mat_report = Some(detect_sharded(&decoded, non_stack, &cfg));
+            mat_report = Some(detect(&decoded, non_stack));
         });
         let mat_report = mat_report.expect("materialized ran");
 
@@ -315,7 +305,8 @@ fn main() {
             )
             .expect("pool spawns");
             stream_report = Some(
-                detect_stream(stream, non_stack, &cfg).expect("stream detects"),
+                detect_stream(stream, non_stack, &HbConfig::default())
+                    .expect("stream detects"),
             );
         });
         assert_eq!(
@@ -482,7 +473,6 @@ fn main() {
     json.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
     json.push_str(&format!("  \"seeds\": {},\n", seeds.len()));
     json.push_str(&format!("  \"repeats\": {repeats},\n"));
-    json.push_str(&format!("  \"detect_threads\": {threads},\n"));
     json.push_str(&format!("  \"v2_decode_threads\": {decode_threads},\n"));
     json.push_str(&format!(
         "  \"encode_threads\": [{}],\n",
@@ -505,9 +495,9 @@ fn main() {
          an EventLog: v1/delta/gv via the sequential auto reader, pool via \
          the out-of-order worker pool at v2_decode_threads. End-to-end \
          rows feed the v2 encoding to the hb detector: 'materialized' \
-         decodes the whole log then runs detect_sharded; 'streaming' \
-         overlaps the decode pool, shard routing and replay via \
-         detect_stream (byte-identical reports, asserted during the run). \
+         decodes the whole log then runs detect; 'streaming' overlaps the \
+         decode pool and detection via detect_stream (byte-identical \
+         reports, asserted during the run). \
          Encode rows push the identical record stream through the inline \
          LogWriterV2 vs the pipelined sink (block builders, background \
          encode pool, in-order committer) at each encode_threads count. \

@@ -21,7 +21,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use literace::detector::{detect, detect_sharded, DetectConfig};
+use literace::detector::detect;
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::EventLog;
 use literace::prelude::*;
@@ -123,9 +123,7 @@ struct Row {
     records: usize,
     seq_off: f64,
     seq_on: f64,
-    sharded_off: f64,
-    sharded_on: f64,
-    sharded_traced: f64,
+    seq_traced: f64,
     pipeline_off: f64,
     pipeline_on: f64,
 }
@@ -177,7 +175,7 @@ fn main() {
     const ITERS: u64 = 4_000_000;
     let counter_ns = ns_per_op(ITERS, |i| m.log_encode_v2_deltas.add(black_box(i & 1)));
     let slot_ns = ns_per_op(ITERS, |i| {
-        m.detector_shard_events.add((i & 7) as usize, black_box(1));
+        m.log_records_by_thread.add((i & 7) as usize, black_box(1));
     });
     let hist_ns = ns_per_op(ITERS, |i| m.detector_frontier_scan.record(black_box(i & 63)));
     let mut local = LocalHistogram::new();
@@ -219,29 +217,24 @@ fn main() {
     let mut worst: (f64, &'static str, &'static str) = (f64::NEG_INFINITY, "", "");
     for (name, id) in workload_ids {
         let (log, non_stack) = workload_log(id, scale, 1);
-        let cfg4 = DetectConfig::with_threads(4);
         let w = build(id, scale);
-        let mut run_cfg = RunConfig::seeded(1);
-        run_cfg.detect_threads = 2;
+        let run_cfg = RunConfig::seeded(1);
 
         // Equal reports off vs on vs traced, asserted once outside the
         // timed loops.
         telemetry::set_enabled(false);
-        let report_off = detect_sharded(&log, non_stack, &cfg4);
+        let report_off = detect(&log, non_stack);
         telemetry::set_enabled(true);
-        let report_on = detect_sharded(&log, non_stack, &cfg4);
+        let report_on = detect(&log, non_stack);
         assert_eq!(report_off, report_on, "{name}: telemetry changed the report");
         telemetry::set_trace_enabled(true);
-        let report_traced = detect_sharded(&log, non_stack, &cfg4);
+        let report_traced = detect(&log, non_stack);
         telemetry::set_trace_enabled(false);
         telemetry::reset_trace();
         assert_eq!(report_off, report_traced, "{name}: tracing changed the report");
 
-        let (seq_off, seq_on) = time_pair(repeats, || {
+        let (seq_off, seq_on, seq_traced) = time_triple(repeats, || {
             black_box(detect(&log, non_stack));
-        });
-        let (sharded_off, sharded_on, sharded_traced) = time_triple(repeats, || {
-            black_box(detect_sharded(&log, non_stack, &cfg4));
         });
         let (pipeline_off, pipeline_on) = time_pair(repeats.min(5), || {
             black_box(
@@ -251,9 +244,8 @@ fn main() {
         });
 
         for (kind, on, off) in [
-            ("sequential detect", seq_on, seq_off),
-            ("sharded detect", sharded_on, sharded_off),
-            ("sharded traced detect", sharded_traced, sharded_off),
+            ("detect", seq_on, seq_off),
+            ("traced detect", seq_traced, seq_off),
         ] {
             let pct = overhead_pct(on, off);
             if pct > worst.0 {
@@ -263,22 +255,16 @@ fn main() {
         println!();
         println!("{name} ({} records):", log.len());
         println!(
-            "  sequential detect  : off {:.3} ms, on {:.3} ms ({:+.2}%)",
+            "  detect             : off {:.3} ms, on {:.3} ms ({:+.2}%)",
             seq_off * 1e3,
             seq_on * 1e3,
             overhead_pct(seq_on, seq_off)
         );
         println!(
-            "  sharded(4) detect  : off {:.3} ms, on {:.3} ms ({:+.2}%)",
-            sharded_off * 1e3,
-            sharded_on * 1e3,
-            overhead_pct(sharded_on, sharded_off)
-        );
-        println!(
-            "  sharded(4) traced  : off {:.3} ms, traced {:.3} ms ({:+.2}%)",
-            sharded_off * 1e3,
-            sharded_traced * 1e3,
-            overhead_pct(sharded_traced, sharded_off)
+            "  traced detect      : off {:.3} ms, traced {:.3} ms ({:+.2}%)",
+            seq_off * 1e3,
+            seq_traced * 1e3,
+            overhead_pct(seq_traced, seq_off)
         );
         println!(
             "  full pipeline      : off {:.3} ms, on {:.3} ms ({:+.2}%)",
@@ -291,9 +277,7 @@ fn main() {
             records: log.len(),
             seq_off,
             seq_on,
-            sharded_off,
-            sharded_on,
-            sharded_traced,
+            seq_traced,
             pipeline_off,
             pipeline_on,
         });
@@ -340,24 +324,16 @@ fn main() {
             json_f64(overhead_pct(r.seq_on, r.seq_off))
         ));
         json.push_str(&format!(
-            "      \"sharded4_detect_overhead_pct\": {},\n",
-            json_f64(overhead_pct(r.sharded_on, r.sharded_off))
-        ));
-        json.push_str(&format!(
-            "      \"sharded4_traced_overhead_pct\": {},\n",
-            json_f64(overhead_pct(r.sharded_traced, r.sharded_off))
+            "      \"sequential_traced_overhead_pct\": {},\n",
+            json_f64(overhead_pct(r.seq_traced, r.seq_off))
         ));
         json.push_str(&format!(
             "      \"pipeline_overhead_pct\": {},\n",
             json_f64(overhead_pct(r.pipeline_on, r.pipeline_off))
         ));
         json.push_str(&format!(
-            "      \"sequential_detect_off_ms\": {},\n",
+            "      \"sequential_detect_off_ms\": {}\n",
             json_f64(r.seq_off * 1e3)
-        ));
-        json.push_str(&format!(
-            "      \"sharded4_detect_off_ms\": {}\n",
-            json_f64(r.sharded_off * 1e3)
         ));
         json.push_str(if i + 1 == rows.len() { "    }\n" } else { "    },\n" });
     }

@@ -9,17 +9,13 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parses `--key value` pairs; returns an error message on stray or
-    /// dangling arguments.
-    pub fn parse(args: &[String]) -> Result<Flags, String> {
-        Flags::parse_with_switches(args, &[])
-    }
-
-    /// Like [`parse`](Flags::parse), but the named `switches` are bare
-    /// boolean flags that take no value (query them with
-    /// [`is_set`](Flags::is_set)).
-    pub fn parse_with_switches(args: &[String], switches: &[&str]) -> Result<Flags, String> {
-        let mut values = HashMap::new();
+    /// Parses `--key value` pairs and bare `--switch`es. Only the names in
+    /// `values` take a value and only those in `switches` stand alone;
+    /// anything else is `unknown flag --X`, so a typo or a removed option
+    /// fails loudly instead of being ignored. Stray or dangling arguments
+    /// are errors too.
+    pub fn parse(args: &[String], values: &[&str], switches: &[&str]) -> Result<Flags, String> {
+        let mut parsed = HashMap::new();
         let mut i = 0;
         while i < args.len() {
             let key = &args[i];
@@ -27,17 +23,20 @@ impl Flags {
                 return Err(format!("expected a --flag, got `{key}`"));
             };
             if switches.contains(&name) {
-                values.insert(name.to_owned(), "true".to_owned());
+                parsed.insert(name.to_owned(), "true".to_owned());
                 i += 1;
                 continue;
+            }
+            if !values.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
             }
             let Some(value) = args.get(i + 1) else {
                 return Err(format!("flag --{name} is missing its value"));
             };
-            values.insert(name.to_owned(), value.clone());
+            parsed.insert(name.to_owned(), value.clone());
             i += 2;
         }
-        Ok(Flags { values })
+        Ok(Flags { values: parsed })
     }
 
     /// Whether a boolean switch was given.
@@ -77,7 +76,8 @@ mod tests {
 
     #[test]
     fn parses_pairs() {
-        let f = Flags::parse(&sv(&["--seed", "7", "--scale", "paper"])).unwrap();
+        let f = Flags::parse(&sv(&["--seed", "7", "--scale", "paper"]), &["seed", "scale"], &[])
+            .unwrap();
         assert_eq!(f.get("seed"), Some("7"));
         assert_eq!(f.get_parsed::<u64>("seed", 0).unwrap(), 7);
         assert_eq!(f.get_parsed::<u64>("missing", 42).unwrap(), 42);
@@ -85,26 +85,34 @@ mod tests {
 
     #[test]
     fn rejects_danglers_and_positional() {
-        assert!(Flags::parse(&sv(&["--seed"])).is_err());
-        assert!(Flags::parse(&sv(&["seed", "7"])).is_err());
+        assert!(Flags::parse(&sv(&["--seed"]), &["seed"], &[]).is_err());
+        assert!(Flags::parse(&sv(&["seed", "7"]), &["seed"], &[]).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_flags() {
+        let err = Flags::parse(&sv(&["--non-stak", "100"]), &["non-stack"], &[]).unwrap_err();
+        assert_eq!(err, "unknown flag --non-stak");
+        // A value flag is not a switch, nor the other way round.
+        let err = Flags::parse(&sv(&["--salvage", "x"]), &[], &["salvage"]).unwrap_err();
+        assert_eq!(err, "expected a --flag, got `x`");
+        let err = Flags::parse(&sv(&["--threads", "2"]), &["log"], &["salvage"]).unwrap_err();
+        assert_eq!(err, "unknown flag --threads");
     }
 
     #[test]
     fn switches_take_no_value() {
-        let f = Flags::parse_with_switches(
-            &sv(&["--streaming", "--seed", "7"]),
-            &["streaming"],
-        )
-        .unwrap();
+        let f = Flags::parse(&sv(&["--streaming", "--seed", "7"]), &["seed"], &["streaming"])
+            .unwrap();
         assert!(f.is_set("streaming"));
         assert_eq!(f.get_parsed::<u64>("seed", 0).unwrap(), 7);
-        let f = Flags::parse_with_switches(&sv(&["--seed", "7"]), &["streaming"]).unwrap();
+        let f = Flags::parse(&sv(&["--seed", "7"]), &["seed"], &["streaming"]).unwrap();
         assert!(!f.is_set("streaming"));
     }
 
     #[test]
     fn require_reports_missing() {
-        let f = Flags::parse(&[]).unwrap();
+        let f = Flags::parse(&[], &[], &[]).unwrap();
         assert!(f.require("log").unwrap_err().contains("--log"));
     }
 }

@@ -108,16 +108,16 @@ impl Heartbeat {
 
 fn heartbeat_loop(stop: &AtomicBool) {
     let start = Instant::now();
-    let mut last_routed = 0u64;
+    let mut last_decoded = 0u64;
     loop {
         std::thread::sleep(TICK);
         if stop.load(Ordering::Relaxed) {
             return; // no tick after the command's final output
         }
         let snap = metrics().snapshot();
-        let routed = counter(&snap, "detector.records.routed");
-        let rate = (routed.saturating_sub(last_routed)) as f64 / TICK.as_secs_f64();
-        last_routed = routed;
+        let decoded = decoded_records(&snap);
+        let rate = (decoded.saturating_sub(last_decoded)) as f64 / TICK.as_secs_f64();
+        last_decoded = decoded;
         eprintln!("{}", format_heartbeat(start.elapsed().as_secs_f64(), &snap, rate));
     }
 }
@@ -125,19 +125,14 @@ fn heartbeat_loop(stop: &AtomicBool) {
 /// Renders one `--progress` status line from a registry snapshot.
 ///
 /// Pure so the format is unit-testable: elapsed seconds and the
-/// inter-tick routing rate are the only inputs the snapshot cannot carry.
+/// inter-tick decode rate are the only inputs the snapshot cannot carry.
 /// When the input log's footer declared a record total
 /// (`log.decode.total_records`, set before decoding starts), the line ends
 /// with percent-complete; otherwise that segment is omitted.
 fn format_heartbeat(elapsed_s: f64, snap: &Snapshot, rate: f64) -> String {
     let logged =
         counter(snap, "instrument.mem.logged") + counter(snap, "instrument.sync.logged");
-    let routed = counter(snap, "detector.records.routed");
-    let queue_hwm = snap
-        .slots
-        .get("detector.shard.queue_depth_hwm")
-        .map(|v| v.iter().copied().max().unwrap_or(0))
-        .unwrap_or(0);
+    let decoded = decoded_records(snap);
     let total = snap
         .gauges
         .get("log.decode.total_records")
@@ -146,17 +141,21 @@ fn format_heartbeat(elapsed_s: f64, snap: &Snapshot, rate: f64) -> String {
     let percent = if total > 0 {
         format!(
             " | {:.1}% of {total}",
-            100.0 * routed.min(total) as f64 / total as f64
+            100.0 * decoded.min(total) as f64 / total as f64
         )
     } else {
         String::new()
     };
     format!(
-        "[literace {elapsed_s:6.1}s] logged {logged} | routed {routed} ({rate:.0}/s) | \
-         stalls stream={} shard={} | shard queue hwm {queue_hwm}{percent}",
+        "[literace {elapsed_s:6.1}s] logged {logged} | decoded {decoded} ({rate:.0}/s) | \
+         stream stalls {}{percent}",
         counter(snap, "log.stream.stalls"),
-        counter(snap, "detector.stream.stalls"),
     )
+}
+
+/// Records decoded so far, from either log format.
+fn decoded_records(snap: &Snapshot) -> u64 {
+    counter(snap, "log.decode.v1.records") + counter(snap, "log.decode.v2.records")
 }
 
 fn counter(snap: &Snapshot, name: &str) -> u64 {
@@ -197,17 +196,14 @@ mod tests {
         let mut snap = Snapshot::default();
         snap.counters.insert("instrument.mem.logged".into(), 900);
         snap.counters.insert("instrument.sync.logged".into(), 100);
-        snap.counters.insert("detector.records.routed".into(), 250);
+        snap.counters.insert("log.decode.v2.records".into(), 250);
         snap.counters.insert("log.stream.stalls".into(), 2);
-        snap.counters.insert("detector.stream.stalls".into(), 3);
-        snap.slots
-            .insert("detector.shard.queue_depth_hwm".into(), vec![1, 7, 4]);
         snap.gauges.insert("log.decode.total_records".into(), 1000);
         let line = format_heartbeat(1.5, &snap, 625.0);
         assert_eq!(
             line,
-            "[literace    1.5s] logged 1000 | routed 250 (625/s) | \
-             stalls stream=2 shard=3 | shard queue hwm 7 | 25.0% of 1000"
+            "[literace    1.5s] logged 1000 | decoded 250 (625/s) | \
+             stream stalls 2 | 25.0% of 1000"
         );
     }
 
@@ -215,7 +211,7 @@ mod tests {
     fn heartbeat_line_omits_percent_without_a_total() {
         let snap = Snapshot::default();
         let line = format_heartbeat(0.4, &snap, 0.0);
-        assert!(line.ends_with("shard queue hwm 0"), "{line}");
+        assert!(line.ends_with("stream stalls 0"), "{line}");
         assert!(!line.contains('%'), "{line}");
     }
 }

@@ -120,10 +120,10 @@ fn trace_out_emits_a_valid_chrome_trace_and_summarizes() {
         summary.top_spans.iter().map(|s| &s.name).collect::<Vec<_>>()
     );
 
-    // A traced sharded detect over the written log.
+    // A traced detect over the written log, decoded by a two-worker pool.
     let baseline = stdout_of({
         let mut c = literace();
-        c.args(["detect", "--log", log.to_str().unwrap(), "--threads", "2"]);
+        c.args(["detect", "--log", log.to_str().unwrap(), "--decode-threads", "2"]);
         c
     });
     let out = literace()
@@ -131,7 +131,7 @@ fn trace_out_emits_a_valid_chrome_trace_and_summarizes() {
             "detect",
             "--log",
             log.to_str().unwrap(),
-            "--threads",
+            "--decode-threads",
             "2",
             "--trace-out",
             detect_trace.to_str().unwrap(),
@@ -149,7 +149,7 @@ fn trace_out_emits_a_valid_chrome_trace_and_summarizes() {
         summary.top_spans.iter().map(|s| &s.name).collect::<Vec<_>>()
     );
     assert!(
-        summary.tracks.iter().any(|t| t.name.starts_with("literace-shard-")),
+        summary.tracks.iter().any(|t| t.name.starts_with("literace-decode")),
         "tracks: {:?}",
         summary.tracks.iter().map(|t| &t.name).collect::<Vec<_>>()
     );
@@ -252,6 +252,55 @@ fn missing_flag_fails_cleanly() {
     let out = literace().args(["run"]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--workload"));
+}
+
+#[test]
+fn unknown_flags_fail_instead_of_being_ignored() {
+    for args in [
+        &["detect", "--log", "x.lrlog", "--non-stak", "100"][..],
+        &["detect", "--log", "x.lrlog", "--threads", "2"][..],
+        &["run", "--workload", "lflist", "--threads", "2"][..],
+    ] {
+        let out = literace().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let flag = args[args.len() - 2];
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(&format!("unknown flag {flag}")),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+#[test]
+fn thread_index_above_the_ceiling_is_a_corrupt_log_not_a_panic() {
+    use literace::log::{encode_v2, Record, SamplerMask};
+    use literace::sim::{Addr, FuncId, Pc, ThreadId};
+
+    // Thread ids are 32-bit on the wire, so this log decodes cleanly; the
+    // detector must refuse it with a typed error when the thread registers.
+    let over = ThreadId::from_index(literace::detector::MAX_THREAD_INDEX + 1);
+    let record = Record::Mem {
+        tid: over,
+        pc: Pc::new(FuncId::from_index(0), 1),
+        addr: Addr::global(0),
+        is_write: true,
+        mask: SamplerMask::FULL,
+    };
+    let dir = std::env::temp_dir().join("literace_cli_tid_ceiling");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("over.lrlog");
+    std::fs::write(&log, &encode_v2(&[record])[..]).unwrap();
+    let out = literace()
+        .args(["detect", "--log", log.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("corrupt log"), "{stderr}");
+    assert!(stderr.contains("ceiling"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

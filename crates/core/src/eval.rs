@@ -10,7 +10,7 @@ use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
-use literace_detector::{DetectConfig, RaceReport};
+use literace_detector::{HbConfig, RaceReport};
 use literace_instrument::{InstrumentConfig, MultiSamplerInstrumenter};
 use literace_log::SamplerMask;
 use literace_samplers::SamplerKind;
@@ -31,13 +31,6 @@ pub struct EvalConfig {
     pub machine: MachineConfig,
     /// Instrumentation knobs (alloc-sync etc.).
     pub instrument: InstrumentConfig,
-    /// Worker threads for each offline detection pass (1 = sequential;
-    /// sharded detection is byte-identical, so results don't change).
-    pub detect_threads: usize,
-    /// Use the streaming detection path for each pass (byte-identical to
-    /// the materialized path; see
-    /// [`detect_stream`](literace_detector::detect_stream)).
-    pub streaming_detect: bool,
 }
 
 impl Default for EvalConfig {
@@ -48,8 +41,6 @@ impl Default for EvalConfig {
             sched_quantum: 64,
             machine: MachineConfig::default(),
             instrument: InstrumentConfig::default(),
-            detect_threads: 1,
-            streaming_detect: false,
         }
     }
 }
@@ -164,7 +155,7 @@ pub fn evaluate_program(program: &Program, cfg: &EvalConfig) -> Result<ProgramEv
         non_stack += summary.non_stack_accesses;
 
         // Ground truth: full log.
-        let truth = detect_log(&out.log, summary.non_stack_accesses, cfg);
+        let truth = detect_log(&out.log, summary.non_stack_accesses);
         let (truth_rare, truth_freq) = truth.split_by_rarity();
         let rare_keys: HashSet<(Pc, Pc)> = truth_rare.iter().map(|s| s.pcs).collect();
         let freq_keys: HashSet<(Pc, Pc)> = truth_freq.iter().map(|s| s.pcs).collect();
@@ -175,7 +166,7 @@ pub fn evaluate_program(program: &Program, cfg: &EvalConfig) -> Result<ProgramEv
         for i in 0..n {
             per_sampler_logged[i] += out.per_sampler[i].logged_mem;
             let subset = out.log.sampler_subset(i);
-            let found = detect_log(&subset, summary.non_stack_accesses, cfg);
+            let found = detect_log(&subset, summary.non_stack_accesses);
             let rate = found.detection_rate_against(&truth);
             per_sampler_det[i] += rate;
             per_sampler_det_min[i] = per_sampler_det_min[i].min(rate);
@@ -231,13 +222,8 @@ fn ratio((found, total): (u64, u64)) -> f64 {
     }
 }
 
-fn detect_log(log: &literace_log::EventLog, non_stack: u64, cfg: &EvalConfig) -> RaceReport {
-    crate::pipeline::detect_event_log(
-        log,
-        non_stack,
-        &DetectConfig::with_threads(cfg.detect_threads),
-        cfg.streaming_detect,
-    )
+fn detect_log(log: &literace_log::EventLog, non_stack: u64) -> RaceReport {
+    crate::pipeline::detect_event_log(log, non_stack, &HbConfig::default())
 }
 
 #[cfg(test)]

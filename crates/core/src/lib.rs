@@ -70,7 +70,7 @@ pub use literace_samplers as samplers;
 /// The instrumentation pass (dispatch checks, timestamps, logging).
 pub use literace_instrument as instrument;
 
-/// Happens-before, FastTrack, lockset and online detectors.
+/// Happens-before, lockset and online detectors.
 pub use literace_detector as detector;
 
 /// The paper's benchmark workloads.

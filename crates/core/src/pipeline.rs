@@ -1,6 +1,6 @@
 //! The end-to-end LiteRace pipeline: instrument → execute → log → detect.
 
-use literace_detector::{detect_sharded, detect_stream, DetectConfig, HbConfig, RaceReport};
+use literace_detector::{detect_stream, HbConfig, RaceReport};
 use literace_instrument::{InstrumentConfig, InstrumentOutput, Instrumenter, RecordSink};
 use literace_log::EventLog;
 use literace_samplers::SamplerKind;
@@ -22,14 +22,6 @@ pub struct RunConfig {
     pub instrument: InstrumentConfig,
     /// Offline detector configuration.
     pub detector: HbConfig,
-    /// Offline detection worker threads (1 = sequential; N ≥ 2 shards
-    /// accesses across N workers with byte-identical output).
-    pub detect_threads: usize,
-    /// Use the streaming detection path
-    /// ([`detect_stream`](literace_detector::detect_stream)): the log is
-    /// fed to the sharded workers block-by-block, overlapping routing and
-    /// replay. Output is byte-identical either way.
-    pub streaming_detect: bool,
 }
 
 impl Default for RunConfig {
@@ -40,8 +32,6 @@ impl Default for RunConfig {
             machine: MachineConfig::default(),
             instrument: InstrumentConfig::default(),
             detector: HbConfig::default(),
-            detect_threads: 1,
-            streaming_detect: false,
         }
     }
 }
@@ -55,12 +45,10 @@ impl RunConfig {
         }
     }
 
-    /// The offline-detection config implied by this run config.
-    pub fn detect_config(&self) -> DetectConfig {
-        DetectConfig {
-            threads: self.detect_threads,
-            hb: self.detector,
-        }
+    /// The offline-detection config implied by this run config, as
+    /// [`detect_stream`] takes it.
+    pub fn detect_config(&self) -> HbConfig {
+        self.detector
     }
 }
 
@@ -111,12 +99,7 @@ pub fn run_literace(
         run?
     };
     let instrumented = inst.finish();
-    let report = detect_event_log(
-        &instrumented.log,
-        summary.non_stack_accesses,
-        &cfg.detect_config(),
-        cfg.streaming_detect,
-    );
+    let report = detect_event_log(&instrumented.log, summary.non_stack_accesses, &cfg.detector);
     Ok(RunOutcome {
         summary,
         instrumented,
@@ -142,23 +125,20 @@ fn instrument_config_for(
     cfg
 }
 
-/// Detects over an in-memory log via either the materialized sharded path
-/// or the streaming path (byte-identical results).
+/// Detects over an in-memory log, handed to [`detect_stream`] as one
+/// block.
 pub(crate) fn detect_event_log(
     log: &EventLog,
     non_stack_accesses: u64,
-    cfg: &DetectConfig,
-    streaming: bool,
+    cfg: &HbConfig,
 ) -> RaceReport {
     let _span = literace_telemetry::metrics().phase_detect.span();
     literace_telemetry::trace_begin("phase.detect");
-    let report = if streaming {
-        let blocks = log.records().chunks(4096).map(|c| Ok(c.to_vec()));
-        detect_stream(blocks, non_stack_accesses, cfg)
-            .expect("in-memory blocks cannot fail to decode")
-    } else {
-        detect_sharded(log, non_stack_accesses, cfg)
-    };
+    let block: literace_log::LogResult<&[literace_log::Record]> = Ok(log.records());
+    // An in-memory block cannot fail to decode, and the simulator numbers
+    // its threads densely from 0, far below the detector's thread ceiling.
+    let report = detect_stream([block], non_stack_accesses, cfg)
+        .expect("a simulator-produced log is always detectable");
     literace_telemetry::trace_end("phase.detect");
     report
 }
@@ -256,27 +236,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_detection_matches_sequential_pipeline() {
-        let seq = run_literace(&racy_program(), SamplerKind::Always, &RunConfig::seeded(3))
-            .unwrap();
-        let mut cfg = RunConfig::seeded(3);
-        cfg.detect_threads = 4;
-        let par = run_literace(&racy_program(), SamplerKind::Always, &cfg).unwrap();
-        assert_eq!(seq.report, par.report);
-    }
-
-    #[test]
-    fn streaming_detection_matches_materialized_pipeline() {
-        let base = run_literace(&racy_program(), SamplerKind::Always, &RunConfig::seeded(5))
-            .unwrap();
-        for threads in [1, 2, 4] {
-            let mut cfg = RunConfig::seeded(5);
-            cfg.detect_threads = threads;
-            cfg.streaming_detect = true;
-            let streamed =
-                run_literace(&racy_program(), SamplerKind::Always, &cfg).unwrap();
-            assert_eq!(streamed.report, base.report, "threads={threads}");
-        }
+    fn streamed_sink_detection_matches_materialized_pipeline() {
+        // `run --streaming --log`: the log streams to an encoded sink and
+        // is detected block by block from the bytes.
+        let cfg = RunConfig::seeded(5);
+        let base = run_literace(&racy_program(), SamplerKind::Always, &cfg).unwrap();
+        let (summary, out) = run_literace_with_sink(
+            &racy_program(),
+            SamplerKind::Always,
+            &cfg,
+            literace_instrument::V2Sink::new(Vec::new()),
+        )
+        .unwrap();
+        let bytes = out.log.finish().unwrap();
+        let blocks = literace_log::RecordBlocks::open(&bytes[..]).unwrap();
+        let streamed =
+            detect_stream(blocks, summary.non_stack_accesses, &cfg.detect_config()).unwrap();
+        assert_eq!(streamed, base.report);
     }
 
     #[test]

@@ -19,8 +19,7 @@ pub(crate) struct LocHistory {
     pub reads: Vec<Access>,
 }
 
-/// The slot store. One per frontier (and therefore one per shard worker in
-/// the parallel paths) — no sharing, no locks.
+/// The slot store. One per frontier — no sharing, no locks.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     slots: Vec<LocHistory>,

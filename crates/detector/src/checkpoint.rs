@@ -11,8 +11,7 @@
 //! monitor, and the suppression patterns in force — such that a detector
 //! resumed from it and fed the remaining records produces a report
 //! **byte-identical** to one-shot detection (`tests/checkpoint_equivalence.rs`
-//! pins this at every block boundary, across the sequential, sharded, and
-//! streaming paths).
+//! pins this at every block boundary).
 //!
 //! ## Wire format
 //!
@@ -71,10 +70,9 @@ const SEC_SUPPRESS: u32 = 7;
 
 /// A sealed, self-validating snapshot of full detector state.
 ///
-/// Produced by [`HbDetector::save_checkpoint`]; consumed by
-/// [`HbDetector::resume`] and the resuming variants of the sharded and
-/// streaming drivers ([`detect_sharded_resume`](crate::detect_sharded_resume),
-/// [`detect_stream_resume`](crate::detect_stream_resume)).
+/// Produced by [`HbDetector::save_checkpoint`] (and sealed periodically by
+/// [`detect_stream_checkpointed`](crate::detect_stream_checkpointed));
+/// consumed by [`HbDetector::resume`] and that driver's `resume` argument.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     pub(crate) cfg: HbConfig,
@@ -519,19 +517,6 @@ impl Checkpoint {
     }
 }
 
-/// One-shot resume convenience: continue detection over `log` (the records
-/// *after* the checkpointed position) and finish with the given final
-/// rarity denominator.
-pub fn detect_resume(
-    log: &literace_log::EventLog,
-    cp: &Checkpoint,
-    non_stack_accesses: u64,
-) -> crate::RaceReport {
-    let mut d = HbDetector::resume(cp);
-    d.process_log(log);
-    d.finish(non_stack_accesses)
-}
-
 fn corrupt_err(e: impl std::fmt::Display) -> LogError {
     LogError::Corrupt {
         reason: e.to_string(),
@@ -610,7 +595,7 @@ fn access_chain(body: &mut &[u8]) -> LogResult<Vec<Access>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect;
+    use crate::{detect, detect_stream_checkpointed, RaceReport};
     use literace_log::{EventLog, Record, SamplerMask};
     use literace_sim::{FuncId, SyncOpKind};
 
@@ -667,6 +652,14 @@ mod tests {
         records.iter().copied().collect()
     }
 
+    /// Continues detection over `records` (those after the checkpointed
+    /// position) from `cp`.
+    fn resume_detection(records: &[Record], cp: &Checkpoint, non_stack: u64) -> RaceReport {
+        let block: LogResult<&[Record]> = Ok(records);
+        detect_stream_checkpointed([block], non_stack, &cp.config(), Some(cp), 0, None)
+            .unwrap()
+    }
+
     #[test]
     fn round_trip_preserves_every_field() {
         let records = mixed_records();
@@ -695,7 +688,7 @@ mod tests {
                 first.process(r);
             }
             let cp = first.save_checkpoint(5000);
-            let resumed = detect_resume(&log_of(&records[split..]), &cp, 5000);
+            let resumed = resume_detection(&records[split..], &cp, 5000);
             assert_eq!(resumed, full, "split at {split}");
         }
     }
@@ -738,7 +731,7 @@ mod tests {
         let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
         assert_eq!(cp, back);
         assert_eq!(back.thread_count(), 0);
-        let report = detect_resume(&EventLog::new(), &back, 0);
+        let report = resume_detection(&[], &back, 0);
         assert_eq!(report, detect(&EventLog::new(), 0));
     }
 

@@ -1,7 +1,6 @@
 //! Per-address access histories: the state the happens-before detector
-//! keeps between accesses, factored out so the sequential core and the
-//! sharded/streaming workers (see [`sharded`](crate::sharded)) drive
-//! identical machinery.
+//! keeps between accesses, factored out of the core so it can be
+//! snapshotted and restored whole (see `checkpoint.rs`).
 //!
 //! For each address the table remembers an antichain of accesses not yet
 //! ordered before a later write. Since PR 4 the representation is

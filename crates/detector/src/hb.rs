@@ -19,10 +19,10 @@
 
 use std::collections::HashMap;
 
-use literace_log::{EventLog, Record};
+use literace_log::{EventLog, LogResult, Record};
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 
-use crate::epoch::check_thread_index;
+use crate::epoch::{check_thread_index, TidCeilingExceeded};
 use crate::fast_hash::{FastMap, FastSet};
 use crate::frontier::{Access, Frontier};
 use crate::provenance::{AccessEvidence, ProvenanceReport, ProvenanceState, SyncEdge};
@@ -126,21 +126,20 @@ impl HbCore {
     /// Makes sure `tid`'s clock (and those of all lower thread ids) is
     /// materialized, and returns its index into `threads`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with [`TidCeilingExceeded`](crate::TidCeilingExceeded)'s
-    /// message when the index exceeds
+    /// [`TidCeilingExceeded`] when the index exceeds
     /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX): beyond it the memo
     /// keys' access-kind bit packing would silently corrupt race
     /// classification (see `crate::epoch`), and materializing billions of
     /// backfilled clocks would exhaust memory long before that. Only a
-    /// corrupt or hostile log can reach this.
-    fn ensure_thread(&mut self, tid: ThreadId) -> usize {
+    /// corrupt or hostile log can reach this. The check runs once per new
+    /// thread, on the registration branch, never per record.
+    #[inline]
+    fn ensure_thread(&mut self, tid: ThreadId) -> Result<usize, TidCeilingExceeded> {
         let i = tid.index();
         if i >= self.threads.len() {
-            if let Err(e) = check_thread_index(i) {
-                panic!("{e}");
-            }
+            check_thread_index(i)?;
             for j in self.threads.len()..=i {
                 let mut c = VectorClock::new();
                 c.set(ThreadId::from_index(j), 1);
@@ -148,23 +147,34 @@ impl HbCore {
                 self.clock_gen.push(0);
             }
         }
-        i
+        Ok(i)
     }
 
     /// Processes one synchronization operation.
+    ///
+    /// # Errors
+    ///
+    /// [`TidCeilingExceeded`] when `tid` (or a forked child) is a new
+    /// thread above [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX); the
+    /// core is left unchanged.
     #[inline]
-    pub fn sync(&mut self, tid: ThreadId, kind: SyncOpKind, var: SyncVar) {
+    pub fn sync(
+        &mut self,
+        tid: ThreadId,
+        kind: SyncOpKind,
+        var: SyncVar,
+    ) -> Result<(), TidCeilingExceeded> {
         if kind == SyncOpKind::Fork {
             // Materialize the child's clock immediately: until the child
             // starts, its (empty) clock must pin the compaction bound —
             // the child will begin from the parent's *fork-time* snapshot,
             // which may be older than every live thread's current clock.
             let child = ThreadId::from_index(var.0 as usize);
-            self.ensure_thread(child);
+            self.ensure_thread(child)?;
         }
         // Materialize up front so the paths below can borrow `threads`
         // directly alongside `syncvars` (disjoint fields) without cloning.
-        let i = self.ensure_thread(tid);
+        let i = self.ensure_thread(tid)?;
         // Any sync op may change this thread's clock; a blanket bump keeps
         // the memo sound (equal generation ⟹ equal clock value).
         self.clock_gen[i] += 1;
@@ -194,6 +204,7 @@ impl HbCore {
                 .join(&self.threads[i]);
             self.threads[i].increment(tid);
         }
+        Ok(())
     }
 
     /// Processes one data access.
@@ -202,11 +213,24 @@ impl HbCore {
     /// Inlining it (and [`Frontier::access`] inside it) into each driver
     /// loop keeps the location state in registers across records — worth
     /// over 10% end-to-end on full logs, and LLVM won't do it unaided
-    /// because the function has many call sites (sequential, sharded,
-    /// streaming, online).
+    /// because the function has several call sites (offline and online).
+    /// Inlined, the error return folds into the registration branch that
+    /// produces it, so the per-record path gains no work.
+    ///
+    /// # Errors
+    ///
+    /// [`TidCeilingExceeded`] when `tid` is a new thread above
+    /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX); the core is left
+    /// unchanged.
     #[inline(always)]
-    pub fn access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool) {
-        let i = self.ensure_thread(tid);
+    pub fn access(
+        &mut self,
+        tid: ThreadId,
+        pc: Pc,
+        addr: Addr,
+        is_write: bool,
+    ) -> Result<(), TidCeilingExceeded> {
+        let i = self.ensure_thread(tid)?;
         // The access doesn't modify the clock, so a shared borrow suffices
         // — no per-access clone (`threads`, `frontier` and `pairs` are
         // disjoint fields).
@@ -283,6 +307,7 @@ impl HbCore {
             },
         );
         scan_hist.record(scanned as u64);
+        Ok(())
     }
 
     /// Marks a thread as exited: it will make no further accesses, so it no
@@ -526,10 +551,8 @@ pub(crate) struct CoreSnapshot {
     pub pairs: Vec<((Pc, Pc), PairSnapshot)>,
 }
 
-/// Records between automatic frontier compactions in [`HbDetector`] (and
-/// in each shard of the sharded detector, which counts *all* records —
-/// owned or not — so compaction triggers at the same stream positions).
-pub(crate) const COMPACT_INTERVAL: u64 = 1 << 18;
+/// Records between automatic frontier compactions in [`HbDetector`].
+const COMPACT_INTERVAL: u64 = 1 << 18;
 
 /// Offline happens-before detector over an event log (§4.4: the paper's
 /// primary mode — write the log to disk, analyze later).
@@ -596,12 +619,28 @@ impl HbDetector {
 
     /// Processes one log record.
     ///
-    /// `inline(always)`: called once per record from every driver loop;
-    /// without the hint LLVM leaves a per-record call boundary (the
-    /// function has many callers), forcing detector state back to memory
-    /// every record.
+    /// # Panics
+    ///
+    /// Panics when the record registers a thread above
+    /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX), which only a corrupt
+    /// log can do; [`detect_stream`](crate::detect_stream) reports that as
+    /// a typed error instead.
     #[inline(always)]
     pub fn process(&mut self, record: &Record) {
+        if let Err(e) = self.try_process(record) {
+            panic!("{e}");
+        }
+    }
+
+    /// [`process`](HbDetector::process), returning the thread-ceiling
+    /// violation instead of panicking (the record is then not counted).
+    ///
+    /// `inline(always)`: called once per record from the detection loop;
+    /// without the hint LLVM leaves a per-record call boundary (the
+    /// function has several callers), forcing detector state back to
+    /// memory every record.
+    #[inline(always)]
+    pub(crate) fn try_process(&mut self, record: &Record) -> Result<(), TidCeilingExceeded> {
         match *record {
             Record::Sync {
                 tid,
@@ -615,7 +654,7 @@ impl HbDetector {
                     self.timestamp_violations += 1;
                 }
                 *last = (*last).max(timestamp);
-                self.core.sync(tid, kind, var);
+                self.core.sync(tid, kind, var)?;
             }
             Record::Mem {
                 tid,
@@ -623,7 +662,7 @@ impl HbDetector {
                 addr,
                 is_write,
                 ..
-            } => self.core.access(tid, pc, addr, is_write),
+            } => self.core.access(tid, pc, addr, is_write)?,
             Record::ThreadBegin { .. } => {}
             Record::ThreadEnd { tid } => {
                 self.core.retire_thread(tid);
@@ -637,6 +676,7 @@ impl HbDetector {
             self.records_since_compact = 0;
             self.core.compact();
         }
+        Ok(())
     }
 
     /// Processes an entire log.
@@ -673,11 +713,18 @@ impl Default for HbDetector {
     }
 }
 
-/// One-shot convenience: detect races in a log.
+/// Detects races in an in-memory log with the default configuration: the
+/// log is fed to [`detect_stream`](crate::detect_stream) as one block.
+///
+/// # Panics
+///
+/// Panics when a record registers a thread above
+/// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX), which only a corrupt log
+/// can do (an in-memory log has no other way to fail).
 pub fn detect(log: &EventLog, non_stack_accesses: u64) -> RaceReport {
-    let mut d = HbDetector::new();
-    d.process_log(log);
-    d.finish(non_stack_accesses)
+    let block: LogResult<&[Record]> = Ok(log.records());
+    crate::streaming::detect_stream(std::iter::once(block), non_stack_accesses, &HbConfig::default())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

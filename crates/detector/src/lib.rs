@@ -3,24 +3,17 @@
 //! Data-race detectors for the LiteRace reproduction:
 //!
 //! * [`HbDetector`] — the paper's offline happens-before detector over
-//!   event logs (vector clocks; no false positives by construction);
+//!   event logs (vector clocks with adaptive epoch access histories; no
+//!   false positives by construction);
+//! * [`detect`], [`detect_stream`] and [`detect_stream_checkpointed`] —
+//!   the three ways to run it, all through one sequential block loop (see
+//!   `streaming.rs`): an in-memory log, a stream of decoded blocks that is
+//!   never materialized, or a stream resumed from and sealing
+//!   [`Checkpoint`]s, each byte-identical to one-shot detection;
 //! * [`OnlineDetector`] — the §4.4 "spare core" variant, running the same
 //!   core live against the simulator's event stream;
-//! * [`FastTrackDetector`] — the epoch-optimized happens-before entry point
-//!   (the contemporaneous FastTrack design); since the adaptive epoch
-//!   representation became the production frontier it delegates to
-//!   [`HbDetector`] and reports byte-identically;
 //! * [`LocksetDetector`] — an Eraser-style baseline that demonstrates the
 //!   false positives the paper's design avoids;
-//! * [`detect_sharded`] — address-sharded parallel offline detection,
-//!   byte-identical to [`detect`] (see [`sharded`]);
-//! * [`detect_stream`] — the same sharded detection fed block-by-block
-//!   from a decoding log stream, overlapping decode, routing, and replay
-//!   without materializing the log;
-//! * [`Checkpoint`] — a sealed, self-validating snapshot of full detector
-//!   state; resuming from one (on any path: [`detect_resume`],
-//!   [`detect_sharded_resume`], [`detect_stream_resume`]) yields reports
-//!   byte-identical to one-shot detection;
 //! * [`merge`] utilities reconstructing a global order from per-thread logs
 //!   using the §4.2 logical timestamps.
 //!
@@ -52,7 +45,6 @@ mod arena;
 mod checkpoint;
 mod epoch;
 pub mod fast_hash;
-mod fasttrack;
 mod frontier;
 mod hb;
 mod lockset;
@@ -60,20 +52,17 @@ pub mod merge;
 mod online;
 mod provenance;
 mod report;
-pub mod sharded;
 mod streaming;
 mod suppress;
 mod vector_clock;
 
-pub use checkpoint::{detect_resume, Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use epoch::{check_thread_index, TidCeilingExceeded, MAX_THREAD_INDEX};
-pub use fasttrack::{detect_fasttrack, FastTrackDetector};
 pub use hb::{detect, HbConfig, HbCore, HbDetector};
 pub use lockset::{detect_lockset, LocksetDetector};
 pub use online::OnlineDetector;
 pub use provenance::{AccessEvidence, ProvenanceReport, RaceEvidence, SyncEdge};
-pub use sharded::{detect_sharded, detect_sharded_resume, DetectConfig};
-pub use streaming::{detect_stream, detect_stream_checkpointed, detect_stream_resume};
+pub use streaming::{detect_stream, detect_stream_checkpointed, CheckpointSink};
 pub use report::{DynamicRace, RaceReport, StaticRace};
 pub use suppress::Suppressions;
 pub use vector_clock::VectorClock;

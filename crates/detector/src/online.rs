@@ -62,18 +62,18 @@ impl Default for OnlineDetector {
 impl Observer for OnlineDetector {
     fn on_event(&mut self, event: &Event) {
         self.events_seen += 1;
-        match *event {
+        let registered = match *event {
             Event::MemRead { tid, pc, addr } => {
                 if addr.class().is_non_stack() {
                     self.non_stack_accesses += 1;
                 }
-                self.core.access(tid, pc, addr, false);
+                self.core.access(tid, pc, addr, false)
             }
             Event::MemWrite { tid, pc, addr } => {
                 if addr.class().is_non_stack() {
                     self.non_stack_accesses += 1;
                 }
-                self.core.access(tid, pc, addr, true);
+                self.core.access(tid, pc, addr, true)
             }
             Event::Sync { tid, kind, var, .. } => self.core.sync(tid, kind, var),
             Event::Alloc {
@@ -81,22 +81,24 @@ impl Observer for OnlineDetector {
             }
             | Event::Free {
                 tid, base, words, ..
-            } => {
-                for page in pages_of(base, words) {
-                    self.core
-                        .sync(tid, SyncOpKind::AllocPage, alloc_page_var(page));
-                }
-            }
+            } => pages_of(base, words).try_for_each(|page| {
+                self.core
+                    .sync(tid, SyncOpKind::AllocPage, alloc_page_var(page))
+            }),
             Event::ThreadExit { tid } => {
                 self.core.retire_thread(tid);
                 self.core.compact();
                 self.events_since_compact = 0;
+                Ok(())
             }
             Event::ThreadStart { .. }
             | Event::FunctionEntry { .. }
             | Event::FunctionExit { .. }
-            | Event::LoopIter { .. } => {}
-        }
+            | Event::LoopIter { .. } => Ok(()),
+        };
+        // The simulator numbers its threads densely from 0 and could not
+        // hold MAX_THREAD_INDEX of them in memory.
+        registered.expect("simulator thread ids stay below MAX_THREAD_INDEX");
         self.events_since_compact += 1;
         if self.events_since_compact >= 1 << 18 {
             self.events_since_compact = 0;

@@ -8,8 +8,8 @@
 //! *would* have ordered the pair, had the racing thread acquired it).
 //!
 //! Capture is opt-in ([`HbCore::enable_provenance`](crate::HbCore::enable_provenance))
-//! and sequential-only: the sharded and streaming paths never enable it,
-//! and an enabled core produces a byte-identical [`RaceReport`](crate::RaceReport)
+//! and the detection entry points never enable it; an enabled core
+//! produces a byte-identical [`RaceReport`](crate::RaceReport)
 //! — evidence rides alongside the report, it never feeds back into it.
 //! `literace explain` re-runs sequential detection with capture on and
 //! renders one [`RaceEvidence`] per static pair.

@@ -1,599 +1,125 @@
-//! Streaming sharded detection: decode, sync pre-pass, and shard replay
-//! overlapped in time.
+//! The detection loop: decoded record blocks in, one race report out.
 //!
-//! [`detect_sharded`](crate::detect_sharded) needs the whole decoded
-//! [`EventLog`](literace_log::EventLog) up front: its pre-pass builds the
-//! complete clock timeline and every shard's full event stream before any
-//! worker starts. [`detect_stream`] removes both the materialization and
-//! the barrier. It consumes *blocks* of records — typically from a
-//! [`RecordStream`](literace_log::RecordStream) whose decoder thread is
-//! still running — routes each block's accesses to per-shard bounded
-//! channels as it goes, and lets shard workers replay concurrently with
-//! the routing and the decode. Peak memory is bounded by the channel
-//! depths, not the log size.
+//! Every happens-before detection runs through one sequential loop that
+//! feeds each block's records, in order, to a single [`HbDetector`] —
+//! the paper's one offline pass over the log. Three entry points share
+//! it:
 //!
-//! **Eager clock freezing.** The materialized pre-pass freezes a thread's
-//! working clock lazily — only when a referenced generation is about to be
-//! mutated — because workers resolve `(thread, generation)` stamps against
-//! the finished timeline. Workers here start before the timeline is
-//! finished, so the router instead freezes *eagerly*: the first time a
-//! thread's clock is referenced at its current generation (an access stamp
-//! or a compaction pin), the value is cloned once into an
-//! `Arc<VectorClock>` and that `Arc` is shared until the next sync
-//! mutation invalidates it. Clocks change only at sync operations, so the
-//! value captured at first reference is exactly the value the lazy freeze
-//! would later snapshot — same clocks, same per-shard streams, same
-//! compaction bounds, and therefore (through the shared
-//! [`merge_pairs_seeded`](crate::sharded::merge_pairs_seeded) accounting) output
-//! byte-identical to both `detect_sharded` and the sequential detector.
-//! Per access this costs one atomic refcount bump instead of the clock
-//! clone the sharded design was built to avoid.
+//! * [`detect`](crate::detect) — an in-memory [`EventLog`](literace_log::EventLog)
+//!   as a single block (the reference of every equivalence suite);
+//! * [`detect_stream`] — blocks from any source, most usefully a
+//!   [`RecordStream`](literace_log::RecordStream) whose decoder is still
+//!   running, so decoding overlaps detection and the log is never
+//!   materialized;
+//! * [`detect_stream_checkpointed`] — the same, optionally starting from a
+//!   [`Checkpoint`] and sealing one every N blocks and at end of stream.
 //!
-//! Positions are carried as `u64` and compaction is its own message
-//! variant, so — unlike `detect_sharded`'s packed `u32`-with-sentinel
-//! stream entries — the streaming path has no log-length ceiling.
+//! A log that names a thread index above
+//! [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX) is rejected with
+//! [`LogError::Corrupt`] when that thread is first registered; the check
+//! sits on the detector's thread-registration path, not on every record.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
-
-use literace_log::{LogResult, Record};
-use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
+use literace_log::{LogError, LogResult, Record};
 
 use crate::checkpoint::Checkpoint;
-use crate::epoch::check_thread_index;
-use crate::fast_hash::FastMap;
-use crate::frontier::Frontier;
-use crate::hb::{HbDetector, COMPACT_INTERVAL};
+use crate::hb::{HbConfig, HbDetector};
 use crate::report::RaceReport;
-use crate::sharded::{merge_pairs_seeded, shard_frontiers, shard_of, DetectConfig, ShardPairs};
-use crate::vector_clock::VectorClock;
 
-/// Accesses buffered per shard before a batch is sent. Large enough to
-/// amortize channel synchronization, small enough that in-flight batches
-/// stay a rounding error next to the frontier state.
-const BATCH_RECORDS: usize = 4096;
+/// Where [`detect_stream_checkpointed`] hands each sealed [`Checkpoint`].
+pub type CheckpointSink<'a> = dyn FnMut(&Checkpoint) -> std::io::Result<()> + 'a;
 
-/// Bound (in messages) of each shard channel. With `BATCH_RECORDS`-sized
-/// batches this caps per-shard in-flight memory at a few hundred KiB.
-const CHANNEL_DEPTH: usize = 4;
-
-/// One routed access, self-contained: the clock is resolved at routing
-/// time (an `Arc` share of the eager freeze), not looked up by the worker.
-struct StreamEvent {
-    /// Global record index — the merge sort key.
-    pos: u64,
-    tid: ThreadId,
-    is_write: bool,
-    pc: Pc,
-    addr: Addr,
-    clock: Arc<VectorClock>,
-    /// The thread's clock generation at routing time (the frontier memo
-    /// token; see [`StreamClocks::generation`]).
-    generation: u64,
-}
-
-/// What flows to a shard worker.
-enum ShardMsg {
-    /// A batch of owned accesses, in global order.
-    Batch(Vec<StreamEvent>),
-    /// A frontier-compaction point with the live-clock set at that moment.
-    /// Broadcast to every shard after all earlier accesses have been
-    /// flushed, so reclamation happens at the sequential stream positions.
-    Compact(Arc<[Arc<VectorClock>]>),
-}
-
-/// Per-thread clock state with eager copy-on-reference freezing.
-#[derive(Default)]
-struct StreamClocks {
-    current: Vec<VectorClock>,
-    /// `cached[t]` is the shared snapshot of `current[t]`'s present value,
-    /// populated at first reference, cleared by the next mutation.
-    cached: Vec<Option<Arc<VectorClock>>>,
-    /// `generation[t]` counts invalidations of thread `t`'s clock: equal
-    /// generation ⟹ equal clock value, which is what the frontier's
-    /// same-epoch memo keys on (an `Arc` pointer would be unsound here —
-    /// a recycled allocation could alias a dead generation).
-    generation: Vec<u64>,
-}
-
-impl StreamClocks {
-    /// Materializes `tid`'s clock (and those of all lower thread ids), as
-    /// `HbCore::ensure_thread` does, and returns its index.
-    ///
-    /// # Panics
-    ///
-    /// Panics, like `HbCore::ensure_thread`, when the index exceeds
-    /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX) — the parallel paths
-    /// enforce the same registration-time tid ceiling as the sequential
-    /// core (see `crate::epoch`).
-    fn ensure_thread(&mut self, tid: ThreadId) -> usize {
-        let i = tid.index();
-        if i >= self.current.len() {
-            if let Err(e) = check_thread_index(i) {
-                panic!("{e}");
-            }
-        }
-        while self.current.len() <= i {
-            let mut c = VectorClock::new();
-            c.set(ThreadId::from_index(self.current.len()), 1);
-            self.current.push(c);
-            self.cached.push(None);
-            self.generation.push(0);
-        }
-        i
-    }
-
-    /// Returns a shared snapshot of thread `i`'s present clock value,
-    /// cloning it at most once per generation.
-    fn pin(&mut self, i: usize) -> Arc<VectorClock> {
-        self.cached[i]
-            .get_or_insert_with(|| Arc::new(self.current[i].clone()))
-            .clone()
-    }
-
-    /// Forgets the snapshot before a mutation of `current[i]`; the next
-    /// reference re-clones the post-mutation value.
-    fn invalidate(&mut self, i: usize) {
-        self.cached[i] = None;
-        self.generation[i] += 1;
-    }
-}
-
-/// The routing half of the streaming pipeline: replays sync records,
-/// stamps and batches accesses, and broadcasts compaction points. Owns
-/// the shard senders; dropping it closes every channel.
-struct Router {
-    shards: usize,
-    clocks: StreamClocks,
-    syncvars: FastMap<SyncVar, VectorClock>,
-    retired: Vec<bool>,
-    since_compact: u64,
-    pos: u64,
-    buffers: Vec<Vec<StreamEvent>>,
-    senders: Vec<SyncSender<ShardMsg>>,
-}
-
-impl Router {
-    /// A router over fresh clock state, or — with `seed` — over a
-    /// checkpoint's: per-thread clocks (each becoming its thread's first
-    /// streaming generation), sync-variable clocks, retirement flags, the
-    /// compaction phase, and the global position all resume where the
-    /// checkpointed detector stopped.
-    fn new(senders: Vec<SyncSender<ShardMsg>>, seed: Option<&Checkpoint>) -> Router {
-        let mut clocks = StreamClocks::default();
-        let mut syncvars = FastMap::default();
-        let mut retired = Vec::new();
-        let mut since_compact = 0;
-        let mut pos = 0;
-        if let Some(cp) = seed {
-            for t in &cp.core.threads {
-                clocks
-                    .current
-                    .push(VectorClock::from_components(t.components.clone()));
-                clocks.cached.push(None);
-                clocks.generation.push(t.clock_gen);
-                retired.push(t.retired);
-            }
-            syncvars = cp
-                .core
-                .syncvars
-                .iter()
-                .map(|(var, c)| (*var, VectorClock::from_components(c.clone())))
-                .collect();
-            since_compact = cp.records_since_compact;
-            pos = cp.records_processed;
-        }
-        Router {
-            shards: senders.len(),
-            clocks,
-            syncvars,
-            retired,
-            since_compact,
-            pos,
-            buffers: (0..senders.len())
-                .map(|_| Vec::with_capacity(BATCH_RECORDS))
-                .collect(),
-            senders,
-        }
-    }
-
-    fn flush(&mut self, shard: usize) {
-        if self.buffers[shard].is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(
-            &mut self.buffers[shard],
-            Vec::with_capacity(BATCH_RECORDS),
-        );
-        if literace_telemetry::enabled() {
-            let m = literace_telemetry::metrics();
-            m.detector_shard_events.add(shard, batch.len() as u64);
-            m.detector_records_routed.add(batch.len() as u64);
-        }
-        send_msg(&self.senders[shard], shard, ShardMsg::Batch(batch));
-    }
-
-    /// Flushes every buffer, then broadcasts a compaction point pinning
-    /// the live-clock set — the same bound, at the same stream position,
-    /// as the sequential detector's compaction.
-    fn emit_compact(&mut self) {
-        for shard in 0..self.shards {
-            self.flush(shard);
-        }
-        let live: Arc<[Arc<VectorClock>]> = (0..self.clocks.current.len())
-            .filter(|i| !self.retired.get(*i).copied().unwrap_or(false))
-            .map(|i| self.clocks.pin(i))
-            .collect();
-        for (shard, sender) in self.senders.iter().enumerate() {
-            send_msg(sender, shard, ShardMsg::Compact(live.clone()));
-        }
-    }
-
-    /// Processes one record; mirrors the sharded pre-pass record loop.
-    fn route(&mut self, record: &Record) {
-        match *record {
-            Record::Sync { tid, kind, var, .. } => {
-                if kind == SyncOpKind::Fork {
-                    // The child's (empty) clock must pin the compaction
-                    // bound from the fork on, as in `HbCore::sync`.
-                    self.clocks.ensure_thread(ThreadId::from_index(var.0 as usize));
-                }
-                let i = self.clocks.ensure_thread(tid);
-                let joins = kind.is_acquire() && self.syncvars.contains_key(&var);
-                if joins || kind.is_release() {
-                    self.clocks.invalidate(i);
-                }
-                if joins {
-                    self.clocks.current[i].join(&self.syncvars[&var]);
-                }
-                if kind.is_release() {
-                    self.syncvars
-                        .entry(var)
-                        .or_default()
-                        .join(&self.clocks.current[i]);
-                    self.clocks.current[i].increment(tid);
-                }
-            }
-            Record::Mem {
-                tid,
-                pc,
-                addr,
-                is_write,
-                ..
-            } => {
-                let i = self.clocks.ensure_thread(tid);
-                let clock = self.clocks.pin(i);
-                let generation = self.clocks.generation[i];
-                let shard = shard_of(addr, self.shards);
-                self.buffers[shard].push(StreamEvent {
-                    pos: self.pos,
-                    tid,
-                    is_write,
-                    pc,
-                    addr,
-                    clock,
-                    generation,
-                });
-                if self.buffers[shard].len() >= BATCH_RECORDS {
-                    self.flush(shard);
-                }
-            }
-            Record::ThreadBegin { .. } => {}
-            Record::ThreadEnd { tid } => {
-                let i = tid.index();
-                if i >= self.retired.len() {
-                    self.retired.resize(i + 1, false);
-                }
-                self.retired[i] = true;
-                self.since_compact = 0;
-                self.emit_compact();
-            }
-        }
-        self.pos += 1;
-        self.since_compact += 1;
-        if self.since_compact >= COMPACT_INTERVAL {
-            self.since_compact = 0;
-            self.emit_compact();
-        }
-    }
-
-    /// Flushes whatever is still buffered; call once at end of input.
-    fn finish(mut self) {
-        for shard in 0..self.shards {
-            self.flush(shard);
-        }
-        // Dropping `self` drops the senders, closing every channel.
-    }
-}
-
-/// Sends one message to a shard channel, accounting backpressure: a full
-/// channel counts as a stall before the blocking send, and delivered
-/// batches raise the shard's queue-occupancy gauge (the matching decrement
-/// is in [`run_stream_shard`]). A send fails only if the worker panicked;
-/// the panic resurfaces at join, so losing the message is moot.
-fn send_msg(sender: &SyncSender<ShardMsg>, shard: usize, msg: ShardMsg) {
-    if !literace_telemetry::enabled() {
-        let _ = sender.send(msg);
-        return;
-    }
-    let m = literace_telemetry::metrics();
-    let is_batch = matches!(msg, ShardMsg::Batch(_));
-    let delivered = match sender.try_send(msg) {
-        Ok(()) => true,
-        Err(std::sync::mpsc::TrySendError::Disconnected(_)) => false,
-        Err(std::sync::mpsc::TrySendError::Full(msg)) => {
-            m.detector_stream_stalls.add(1);
-            literace_telemetry::trace_instant("shard.send.stall");
-            sender.send(msg).is_ok()
-        }
-    };
-    if delivered && is_batch {
-        m.detector_shard_queue.inc(shard);
-    }
-}
-
-/// One shard worker: drains its channel, replaying batches against its
-/// private frontier. Pure frontier work, same as the materialized shard
-/// loop — only the clock arrives via `Arc` instead of a timeline lookup.
-fn run_stream_shard(shard: usize, rx: Receiver<ShardMsg>, mut frontier: Frontier) -> ShardPairs {
-    let _span = literace_telemetry::metrics().phase_shard_replay.span();
-    let mut scan_hist = literace_telemetry::ScanSampler::new();
-    let mut pairs = ShardPairs::default();
-    loop {
-        let idle = literace_telemetry::enabled().then(std::time::Instant::now);
-        let msg = match rx.recv() {
-            Ok(msg) => msg,
-            Err(_) => break,
-        };
-        let busy = idle.map(|idle| {
-            let now = std::time::Instant::now();
-            literace_telemetry::metrics()
-                .detector_worker_idle_ns
-                .add((now - idle).as_nanos() as u64);
-            now
-        });
-        match msg {
-            ShardMsg::Compact(clocks) => {
-                literace_telemetry::trace_instant("shard.compact");
-                let live: Vec<&VectorClock> = clocks.iter().map(Arc::as_ref).collect();
-                frontier.compact(&live);
-            }
-            ShardMsg::Batch(events) => {
-                if literace_telemetry::enabled() {
-                    literace_telemetry::metrics().detector_shard_queue.dec(shard);
-                }
-                literace_telemetry::trace_begin("shard.batch");
-                for ev in &events {
-                    let scanned = frontier.access(
-                        ev.tid,
-                        ev.pc,
-                        ev.addr.raw(),
-                        ev.is_write,
-                        &ev.clock,
-                        ev.generation,
-                        |prior, _| {
-                            let key = if prior.pc <= ev.pc {
-                                (prior.pc, ev.pc)
-                            } else {
-                                (ev.pc, prior.pc)
-                            };
-                            pairs.entry(key).or_default().push((ev.pos, ev.addr));
-                        },
-                    );
-                    scan_hist.record(scanned as u64);
-                }
-                literace_telemetry::trace_end("shard.batch");
-            }
-        }
-        if let Some(busy) = busy {
-            literace_telemetry::metrics()
-                .detector_worker_busy_ns
-                .add(busy.elapsed().as_nanos() as u64);
-        }
-    }
-    frontier.flush_telemetry();
-    if literace_telemetry::enabled() {
-        scan_hist.flush_into(&literace_telemetry::metrics().detector_frontier_scan);
-    }
-    pairs
-}
-
-/// Detects races from a stream of record blocks without materializing an
-/// event log, producing a report byte-identical to the sequential
-/// [`detect`](crate::detect) (and hence to
-/// [`detect_sharded`](crate::detect_sharded)).
-///
-/// `blocks` is any iterator of decoded record blocks — most usefully a
-/// [`RecordStream`](literace_log::RecordStream), in which case decoding,
-/// routing, and shard replay all overlap. With `cfg.threads <= 1` the
-/// records are fed straight through the sequential detector, still
-/// block-at-a-time.
+/// Detects races from a stream of record blocks, without materializing an
+/// event log. The report is byte-identical to [`detect`](crate::detect)
+/// over the concatenated blocks, however they are split.
 ///
 /// # Errors
 ///
-/// Returns the first decode/I-O error the stream yields. Shard workers
-/// are joined (and their partial work discarded) before the error is
-/// returned, so no threads leak.
+/// The first decode/I-O error the stream yields, or
+/// [`LogError::Corrupt`] for a record whose thread index exceeds
+/// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX).
 ///
 /// # Examples
 ///
 /// ```
-/// use literace_detector::{detect, detect_stream, DetectConfig};
+/// use literace_detector::{detect, detect_stream, HbConfig};
 /// use literace_log::{encode_v2, EventLog, RecordStream};
 ///
 /// let log = EventLog::new();
 /// let bytes = encode_v2(log.records()).to_vec();
 /// let stream = RecordStream::spawn(std::io::Cursor::new(bytes), 8)?;
-/// let report = detect_stream(stream, 0, &DetectConfig::with_threads(4))?;
+/// let report = detect_stream(stream, 0, &HbConfig::default())?;
 /// assert_eq!(report, detect(&log, 0));
 /// # Ok::<(), literace_log::LogError>(())
 /// ```
-pub fn detect_stream<I>(
+pub fn detect_stream<I, B>(
     blocks: I,
     non_stack_accesses: u64,
-    cfg: &DetectConfig,
+    cfg: &HbConfig,
 ) -> LogResult<RaceReport>
 where
-    I: IntoIterator<Item = LogResult<Vec<Record>>>,
+    I: IntoIterator<Item = LogResult<B>>,
+    B: AsRef<[Record]>,
 {
-    detect_stream_inner(blocks, non_stack_accesses, cfg, None)
+    detect_stream_checkpointed(blocks, non_stack_accesses, cfg, None, 0, None)
 }
 
-/// [`detect_stream`] resuming from a [`Checkpoint`]: `blocks` must carry
-/// the records *after* the checkpointed position. Works at any shard
-/// count — the router starts from the checkpoint's clock state, shard
-/// frontiers are seeded with the locations they own, and the merge
-/// continues the checkpoint's per-pair accounting — and the report is
-/// byte-identical to one-shot detection over the whole stream.
+/// [`detect_stream`] with resume and periodic checkpointing.
 ///
-/// The happens-before tuning comes from the checkpoint; `cfg` contributes
-/// only the worker count.
+/// With `resume`, detection continues from that checkpoint's state —
+/// `blocks` must carry the records *after* the checkpointed position, and
+/// the happens-before tuning comes from the checkpoint rather than `cfg`.
+/// The report is byte-identical to one-shot detection over the whole
+/// stream.
+///
+/// With `on_checkpoint`, the detector's full state is sealed into a
+/// [`Checkpoint`] and handed to it (typically to write it with
+/// [`Checkpoint::write_to`]) every `checkpoint_every_blocks` input blocks,
+/// and once more when the stream drains (unless a periodic save already
+/// landed exactly at the end), so the caller always holds a checkpoint
+/// covering everything processed. `checkpoint_every_blocks == 0` seals at
+/// end of stream only.
 ///
 /// # Errors
 ///
-/// As [`detect_stream`]: the first decode/I-O error the stream yields.
-pub fn detect_stream_resume<I>(
+/// As [`detect_stream`], plus any error returned by `on_checkpoint`.
+pub fn detect_stream_checkpointed<I, B>(
     blocks: I,
     non_stack_accesses: u64,
-    cfg: &DetectConfig,
-    cp: &Checkpoint,
-) -> LogResult<RaceReport>
-where
-    I: IntoIterator<Item = LogResult<Vec<Record>>>,
-{
-    detect_stream_inner(blocks, non_stack_accesses, cfg, Some(cp))
-}
-
-fn detect_stream_inner<I>(
-    blocks: I,
-    non_stack_accesses: u64,
-    cfg: &DetectConfig,
-    seed: Option<&Checkpoint>,
-) -> LogResult<RaceReport>
-where
-    I: IntoIterator<Item = LogResult<Vec<Record>>>,
-{
-    let shards = cfg.threads.max(1);
-    let hb = seed.map_or(cfg.hb, |cp| cp.cfg);
-    if shards == 1 {
-        let mut detector = match seed {
-            Some(cp) => HbDetector::resume(cp),
-            None => HbDetector::with_config(hb),
-        };
-        for block in blocks {
-            for record in &block? {
-                detector.process(record);
-            }
-        }
-        return Ok(detector.finish(non_stack_accesses));
-    }
-    if seed.is_some() && literace_telemetry::enabled() {
-        literace_telemetry::metrics().detector_checkpoint_resumes.add(1);
-    }
-
-    std::thread::scope(|s| {
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        let frontiers = shard_frontiers(shards, hb.max_history_per_location, seed);
-        for (shard, frontier) in frontiers.into_iter().enumerate() {
-            let (tx, rx) = sync_channel::<ShardMsg>(CHANNEL_DEPTH);
-            senders.push(tx);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("literace-shard-{shard}"))
-                    .spawn_scoped(s, move || run_stream_shard(shard, rx, frontier))
-                    .expect("spawning shard worker"),
-            );
-        }
-
-        let mut router = Router::new(senders, seed);
-        let mut stream_err = None;
-        for block in blocks {
-            match block {
-                Ok(records) => {
-                    for record in &records {
-                        router.route(record);
-                    }
-                }
-                Err(e) => {
-                    stream_err = Some(e);
-                    break;
-                }
-            }
-        }
-        router.finish();
-
-        let shard_pairs: Vec<ShardPairs> = handles
-            .into_iter()
-            .map(|h| h.join().expect("stream shard worker panicked"))
-            .collect();
-        match stream_err {
-            Some(e) => Err(e),
-            None => Ok(merge_pairs_seeded(
-                seed.map_or(&[][..], |cp| &cp.core.pairs),
-                shard_pairs,
-                hb.max_dynamic_per_pair,
-                non_stack_accesses,
-            )),
-        }
-    })
-}
-
-/// Streaming detection with periodic checkpointing: every
-/// `checkpoint_every_blocks` input blocks the detector's full state is
-/// sealed into a [`Checkpoint`] and handed to `on_checkpoint` (which
-/// typically writes it via [`Checkpoint::write_to`]). Once the stream
-/// drains, the final state is sealed and emitted too (unless a periodic
-/// save already landed exactly at the end), so the caller always holds a
-/// checkpoint covering everything processed — resume it against records
-/// appended later for incremental detection. Pass `resume` to continue
-/// from a previously saved checkpoint; pass `0` to checkpoint only at
-/// end of stream.
-///
-/// Checkpoint *creation* requires the sequential core — a mid-run
-/// parallel snapshot would have to drain and re-synchronize every shard —
-/// so this driver always runs single-threaded and ignores `cfg.threads`.
-/// *Resuming* has no such restriction: a checkpoint saved here can be
-/// resumed at any shard count via
-/// [`detect_sharded_resume`](crate::detect_sharded_resume) or
-/// [`detect_stream_resume`].
-///
-/// # Errors
-///
-/// The first decode/I-O error the stream yields, or the error returned by
-/// `on_checkpoint`.
-pub fn detect_stream_checkpointed<I, F>(
-    blocks: I,
-    non_stack_accesses: u64,
-    cfg: &DetectConfig,
+    cfg: &HbConfig,
     resume: Option<&Checkpoint>,
     checkpoint_every_blocks: u64,
-    mut on_checkpoint: F,
+    mut on_checkpoint: Option<&mut CheckpointSink<'_>>,
 ) -> LogResult<RaceReport>
 where
-    I: IntoIterator<Item = LogResult<Vec<Record>>>,
-    F: FnMut(&Checkpoint) -> std::io::Result<()>,
+    I: IntoIterator<Item = LogResult<B>>,
+    B: AsRef<[Record]>,
 {
     let mut detector = match resume {
         Some(cp) => HbDetector::resume(cp),
-        None => HbDetector::with_config(cfg.hb),
+        None => HbDetector::with_config(*cfg),
     };
     let mut blocks_seen = 0u64;
-    let mut sealed_at = u64::MAX;
+    let mut sealed_at = None;
     for block in blocks {
-        for record in &block? {
-            detector.process(record);
+        for record in block?.as_ref() {
+            if let Err(e) = detector.try_process(record) {
+                return Err(LogError::Corrupt {
+                    reason: format!("record {}: {e}", detector.records_processed()),
+                });
+            }
         }
         blocks_seen += 1;
-        if checkpoint_every_blocks > 0 && blocks_seen.is_multiple_of(checkpoint_every_blocks) {
-            let cp = detector.save_checkpoint(non_stack_accesses);
-            on_checkpoint(&cp)?;
-            sealed_at = blocks_seen;
+        if let Some(save) = on_checkpoint.as_mut() {
+            if checkpoint_every_blocks > 0 && blocks_seen.is_multiple_of(checkpoint_every_blocks) {
+                save(&detector.save_checkpoint(non_stack_accesses))?;
+                sealed_at = Some(blocks_seen);
+            }
         }
     }
-    if sealed_at != blocks_seen {
-        let cp = detector.save_checkpoint(non_stack_accesses);
-        on_checkpoint(&cp)?;
+    if let Some(save) = on_checkpoint {
+        if sealed_at != Some(blocks_seen) {
+            save(&detector.save_checkpoint(non_stack_accesses))?;
+        }
     }
     Ok(detector.finish(non_stack_accesses))
 }
@@ -601,9 +127,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{detect, detect_sharded};
-    use literace_log::{encode_v2, EventLog, RecordStream, SamplerMask};
-    use literace_sim::FuncId;
+    use crate::detect;
+    use literace_log::{encode_v2, EventLog, RecordBlocks, RecordStream, SamplerMask};
+    use literace_sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
 
     fn t(i: usize) -> ThreadId {
         ThreadId::from_index(i)
@@ -633,7 +159,7 @@ mod tests {
     }
 
     /// Races on many addresses plus lock edges and a thread retirement,
-    /// so shards, HB edges, and compaction all get exercised.
+    /// so HB edges and compaction both get exercised.
     fn mixed_log() -> EventLog {
         let mut records = Vec::new();
         records.push(Record::ThreadBegin { tid: t(2) });
@@ -653,47 +179,54 @@ mod tests {
         records.into_iter().collect()
     }
 
-    fn blocks_of(log: &EventLog, block: usize) -> Vec<LogResult<Vec<Record>>> {
-        log.records()
+    fn blocks_of(records: &[Record], block: usize) -> Vec<LogResult<Vec<Record>>> {
+        records
             .chunks(block.max(1))
             .map(|c| Ok(c.to_vec()))
             .collect()
     }
 
-    #[test]
-    fn empty_stream_matches_sequential() {
-        for threads in [1, 2, 4, 8] {
-            let cfg = DetectConfig::with_threads(threads);
-            let report = detect_stream(Vec::new(), 5, &cfg).unwrap();
-            assert_eq!(report, detect(&EventLog::new(), 5));
-        }
+    /// A log whose second record names a thread above the ceiling: it
+    /// encodes and decodes cleanly (thread ids are 32-bit on the wire).
+    fn over_ceiling_log() -> EventLog {
+        let over = t(crate::MAX_THREAD_INDEX + 1);
+        [mem(t(0), 1, 0, true), mem(over, 2, 0, true)]
+            .into_iter()
+            .collect()
     }
 
     #[test]
-    fn streamed_blocks_are_byte_identical_across_thread_counts() {
+    fn empty_stream_matches_sequential() {
+        let report = detect_stream(Vec::<LogResult<Vec<Record>>>::new(), 5, &HbConfig::default())
+            .unwrap();
+        assert_eq!(report, detect(&EventLog::new(), 5));
+    }
+
+    #[test]
+    fn streamed_blocks_are_byte_identical_across_block_sizes() {
         let log = mixed_log();
         let seq = detect(&log, 1000);
         assert!(seq.static_count() > 0, "log should race");
-        for threads in [1, 2, 3, 4, 8] {
-            for block in [1, 7, 4096] {
-                let cfg = DetectConfig::with_threads(threads);
-                let report = detect_stream(blocks_of(&log, block), 1000, &cfg).unwrap();
-                assert_eq!(report, seq, "threads={threads} block={block}");
-            }
+        for block in [1, 7, 64, 4096] {
+            let report =
+                detect_stream(blocks_of(log.records(), block), 1000, &HbConfig::default())
+                    .unwrap();
+            assert_eq!(report, seq, "block={block}");
         }
     }
 
     #[test]
-    fn streamed_matches_sharded_with_caps() {
+    fn caps_apply_identically_to_the_one_shot_detector() {
         let log = mixed_log();
         for cap in [0, 3] {
-            let hb = crate::HbConfig {
+            let hb = HbConfig {
                 max_dynamic_per_pair: cap,
-                ..crate::HbConfig::default()
+                ..HbConfig::default()
             };
-            let cfg = DetectConfig { threads: 4, hb };
-            let streamed = detect_stream(blocks_of(&log, 512), 9, &cfg).unwrap();
-            assert_eq!(streamed, detect_sharded(&log, 9, &cfg), "cap={cap}");
+            let mut one_shot = HbDetector::with_config(hb);
+            one_shot.process_log(&log);
+            let streamed = detect_stream(blocks_of(log.records(), 512), 9, &hb).unwrap();
+            assert_eq!(streamed, one_shot.finish(9), "cap={cap}");
         }
     }
 
@@ -702,8 +235,7 @@ mod tests {
         let log = mixed_log();
         let bytes = encode_v2(log.records()).to_vec();
         let stream = RecordStream::spawn(std::io::Cursor::new(bytes), 8).unwrap();
-        let cfg = DetectConfig::with_threads(4);
-        let report = detect_stream(stream, 77, &cfg).unwrap();
+        let report = detect_stream(stream, 77, &HbConfig::default()).unwrap();
         assert_eq!(report, detect(&log, 77));
     }
 
@@ -713,13 +245,39 @@ mod tests {
         let mut bytes = encode_v2(log.records()).to_vec();
         bytes.truncate(bytes.len() / 2); // mid-block truncation
         let stream = RecordStream::spawn(std::io::Cursor::new(bytes), 8).unwrap();
-        let cfg = DetectConfig::with_threads(4);
-        let err = detect_stream(stream, 0, &cfg).unwrap_err();
+        let err = detect_stream(stream, 0, &HbConfig::default()).unwrap_err();
         assert!(err.to_string().contains("corrupt"), "{err}");
     }
 
     #[test]
-    fn resumed_stream_matches_one_shot_at_any_shard_count() {
+    fn thread_index_above_the_ceiling_is_a_typed_error() {
+        let bytes = encode_v2(over_ceiling_log().records()).to_vec();
+        let blocks = RecordBlocks::open(&bytes[..]).expect("the log decodes cleanly");
+        let err = detect_stream(blocks, 0, &HbConfig::default()).unwrap_err();
+        assert!(matches!(err, LogError::Corrupt { .. }), "{err:?}");
+        assert!(err.to_string().contains("record 1"), "{err}");
+        assert!(err.to_string().contains("ceiling"), "{err}");
+        // The checkpointing driver fails the same way, before sealing.
+        let mut saves = 0;
+        let blocks = RecordBlocks::open(&bytes[..]).unwrap();
+        let err = detect_stream_checkpointed(
+            blocks,
+            0,
+            &HbConfig::default(),
+            None,
+            1,
+            Some(&mut |_: &Checkpoint| {
+                saves += 1;
+                Ok(())
+            }),
+        )
+        .unwrap_err();
+        assert!(matches!(err, LogError::Corrupt { .. }), "{err:?}");
+        assert_eq!(saves, 0);
+    }
+
+    #[test]
+    fn resumed_stream_matches_one_shot_at_any_split() {
         let log = mixed_log();
         let seq = detect(&log, 1000);
         let records = log.records();
@@ -729,15 +287,16 @@ mod tests {
                 first.process(r);
             }
             let cp = first.save_checkpoint(1000);
-            for threads in [1, 2, 4, 8] {
-                let cfg = DetectConfig::with_threads(threads);
-                let suffix: Vec<LogResult<Vec<Record>>> = records[split..]
-                    .chunks(64)
-                    .map(|c| Ok(c.to_vec()))
-                    .collect();
-                let report = detect_stream_resume(suffix, 1000, &cfg, &cp).unwrap();
-                assert_eq!(report, seq, "split={split} threads={threads}");
-            }
+            let report = detect_stream_checkpointed(
+                blocks_of(&records[split..], 64),
+                1000,
+                &HbConfig::default(),
+                Some(&cp),
+                0,
+                None,
+            )
+            .unwrap();
+            assert_eq!(report, seq, "split={split}");
         }
     }
 
@@ -745,71 +304,53 @@ mod tests {
     fn checkpointed_driver_emits_resumable_checkpoints() {
         let log = mixed_log();
         let seq = detect(&log, 1000);
-        let mut saved: Vec<(u64, Checkpoint)> = Vec::new();
+        let mut saved: Vec<Checkpoint> = Vec::new();
         let report = detect_stream_checkpointed(
-            blocks_of(&log, 100),
+            blocks_of(log.records(), 100),
             1000,
-            &DetectConfig::default(),
+            &HbConfig::default(),
             None,
             2,
-            |cp| {
-                saved.push((cp.records_processed(), cp.clone()));
+            Some(&mut |cp: &Checkpoint| {
+                saved.push(cp.clone());
                 Ok(())
-            },
+            }),
         )
         .unwrap();
         assert_eq!(report, seq, "checkpointing must not perturb detection");
-        assert!(!saved.is_empty(), "every-2-blocks must have fired");
-        // Every emitted checkpoint resumes to the one-shot report, on the
-        // sequential, sharded, and streaming paths alike.
-        for (processed, cp) in &saved {
-            let rest = &log.records()[*processed as usize..];
-            let suffix: EventLog = rest.iter().copied().collect();
-            assert_eq!(crate::checkpoint::detect_resume(&suffix, cp, 1000), seq);
-            assert_eq!(
-                crate::detect_sharded_resume(&suffix, 1000, &DetectConfig::with_threads(4), cp),
-                seq
-            );
-            let blocks: Vec<LogResult<Vec<Record>>> =
-                rest.chunks(64).map(|c| Ok(c.to_vec())).collect();
-            assert_eq!(
-                detect_stream_resume(blocks, 1000, &DetectConfig::with_threads(2), cp).unwrap(),
-                seq
-            );
+        assert!(saved.len() >= 2, "every-2-blocks must have fired");
+        // Every emitted checkpoint resumes to the one-shot report, also
+        // after a round-trip through bytes (the CLI path).
+        for cp in &saved {
+            let rest = &log.records()[cp.records_processed() as usize..];
+            let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
+            for cp in [cp, &back] {
+                let resumed = detect_stream_checkpointed(
+                    blocks_of(rest, 64),
+                    1000,
+                    &HbConfig::default(),
+                    Some(cp),
+                    0,
+                    None,
+                )
+                .unwrap();
+                assert_eq!(resumed, seq);
+            }
         }
-        // A round-trip through bytes resumes identically (the CLI path).
-        let (processed, cp) = &saved[saved.len() / 2];
-        let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
-        let suffix: EventLog = log.records()[*processed as usize..].iter().copied().collect();
-        assert_eq!(crate::checkpoint::detect_resume(&suffix, &back, 1000), seq);
     }
 
     #[test]
     fn checkpoint_callback_errors_propagate() {
         let log = mixed_log();
         let err = detect_stream_checkpointed(
-            blocks_of(&log, 10),
+            blocks_of(log.records(), 10),
             0,
-            &DetectConfig::default(),
+            &HbConfig::default(),
             None,
             1,
-            |_| Err(std::io::Error::other("disk full")),
+            Some(&mut |_: &Checkpoint| Err(std::io::Error::other("disk full"))),
         )
         .unwrap_err();
         assert!(err.to_string().contains("disk full"), "{err}");
-    }
-
-    #[test]
-    fn eager_freeze_shares_one_arc_per_generation() {
-        let mut clocks = StreamClocks::default();
-        let i = clocks.ensure_thread(t(0));
-        let a = clocks.pin(i);
-        let b = clocks.pin(i);
-        assert!(Arc::ptr_eq(&a, &b), "same generation must share one Arc");
-        clocks.invalidate(i);
-        clocks.current[i].increment(t(0));
-        let c = clocks.pin(i);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert!(c.get(t(0)) > a.get(t(0)));
     }
 }

@@ -198,26 +198,28 @@ fn compaction_bounds_tracked_locations() {
     }
     impl Observer for Probe {
         fn on_event(&mut self, event: &Event) {
-            match *event {
+            let registered = match *event {
                 Event::MemRead { tid, pc, addr } => self.core.access(tid, pc, addr, false),
                 Event::MemWrite { tid, pc, addr } => self.core.access(tid, pc, addr, true),
                 Event::Sync { tid, kind, var, .. } => self.core.sync(tid, kind, var),
                 Event::Alloc { tid, base, words, .. }
                 | Event::Free { tid, base, words, .. } => {
-                    for page in pages_of(base, words) {
+                    pages_of(base, words).try_for_each(|page| {
                         self.core.sync(
                             tid,
                             literace_sim::SyncOpKind::AllocPage,
                             alloc_page_var(page),
-                        );
-                    }
+                        )
+                    })
                 }
                 Event::ThreadExit { tid } => {
                     self.core.retire_thread(tid);
                     self.core.compact();
+                    Ok(())
                 }
-                _ => {}
-            }
+                _ => Ok(()),
+            };
+            registered.unwrap();
             self.peak = self.peak.max(self.core.tracked_locations());
         }
     }

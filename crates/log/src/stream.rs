@@ -10,8 +10,8 @@
 //!   blocks, v2 blocks come straight from the wire);
 //! * [`RecordStream`], the same blocks pulled through a **bounded
 //!   channel** from a decoder thread, so decoding overlaps whatever the
-//!   consumer does with the blocks (sync pre-pass, shard routing, shard
-//!   replay — see `literace_detector::detect_stream`).
+//!   consumer does with the blocks (detection — see
+//!   `literace_detector::detect_stream`).
 //!
 //! [`V2_MAGIC`]: crate::v2::V2_MAGIC
 
@@ -37,10 +37,9 @@ pub const MAX_STREAM_DEPTH: usize = 64;
 
 /// Sizes the decode→detect channel from the pipeline's thread counts.
 ///
-/// The fixed [`DEFAULT_STREAM_DEPTH`] stalls decoders at high shard
-/// counts (visible as `detector.stream.stalls`): with many consumers a
-/// burst of routing work can drain or fill an 8-slot queue faster than
-/// one side can react. Two slots per active thread keeps both sides busy
+/// With many decode workers a burst of decoded blocks can fill an 8-slot
+/// queue faster than the consumer drains it (visible as
+/// `log.stream.stalls`). Two slots per active thread keeps both sides busy
 /// across a scheduling hiccup, clamped to
 /// [`DEFAULT_STREAM_DEPTH`]`..=`[`MAX_STREAM_DEPTH`].
 pub fn auto_stream_depth(decode_threads: usize, detect_threads: usize) -> usize {

@@ -14,21 +14,21 @@
 //!   which is `const false` when the feature is off — a branch the
 //!   optimizer deletes.
 //! * **Sharded counters.** [`Counter`] spreads increments over cache-padded
-//!   cells indexed by a per-thread slot, so detector workers never contend
-//!   on one line. [`SlotCounters`] keeps the slot visible for per-thread /
-//!   per-shard attribution.
+//!   cells indexed by a per-thread slot, so pool workers never contend on
+//!   one line. [`SlotCounters`] keeps the slot visible for per-thread
+//!   attribution.
 //! * **Batched hot paths.** Per-access costs are kept off the atomics
 //!   entirely: tight loops record into a plain [`LocalHistogram`] (or local
 //!   integer counters) and flush once at the end of the run or worker.
 //! * **Neutrality by construction.** Nothing in this crate feeds back into
 //!   sampling or detection; enabling telemetry can never change a race
 //!   report. The workspace's `telemetry_neutrality` suite asserts this
-//!   byte-for-byte across the sequential, sharded and streaming paths.
+//!   byte-for-byte across the in-memory and streamed detection inputs.
 //!
 //! # Metric naming
 //!
 //! Metric names are lowercase, dot-separated, `layer.subsystem.quantity`
-//! (e.g. `detector.shard.events`, `log.decode.v2.bytes`). Durations are
+//! (e.g. `detector.races.static`, `log.decode.v2.bytes`). Durations are
 //! suffixed `_ns`; high-water marks `_hwm`. The JSON snapshot groups
 //! metrics by kind and carries [`SCHEMA_VERSION`](snapshot::SCHEMA_VERSION);
 //! the Prometheus exporter rewrites dots to underscores and prefixes

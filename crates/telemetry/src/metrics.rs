@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
-/// Slots for per-thread / per-shard attribution; higher indices clamp into
+/// Slots for per-thread attribution; higher indices clamp into
 /// the last slot (which therefore aggregates "slot 15 and beyond").
 pub const SLOTS: usize = 16;
 
@@ -94,8 +94,7 @@ const ZERO_U64: AtomicU64 = AtomicU64::new(0);
 #[allow(clippy::declare_interior_mutable_const)] // const used only as array initializer
 const ZERO_I64: AtomicI64 = AtomicI64::new(0);
 
-/// A family of counters indexed by a small slot (thread, shard, or burst
-/// level). Indices at or beyond `N` clamp into the last slot, which thus
+/// A family of counters indexed by a small slot (thread or burst level). Indices at or beyond `N` clamp into the last slot, which thus
 /// aggregates the overflow.
 #[derive(Debug)]
 pub struct SlotCounters<const N: usize> {

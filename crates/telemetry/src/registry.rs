@@ -133,19 +133,6 @@ pub struct Metrics {
     pub log_records_by_thread: SlotCounters<SLOTS>,
 
     // ── detector side ──────────────────────────────────────────────────
-    /// Records routed into detection (any path).
-    pub detector_records_routed: Counter,
-    /// Events assigned to each address shard.
-    pub detector_shard_events: SlotCounters<SLOTS>,
-    /// Occupancy of each shard's streaming channel, with high-water marks.
-    pub detector_shard_queue: LevelGauges<SLOTS>,
-    /// Times the streaming router found a shard channel full and had to
-    /// block (backpressure stalls).
-    pub detector_stream_stalls: Counter,
-    /// Nanoseconds shard workers spent processing batches.
-    pub detector_worker_busy_ns: Counter,
-    /// Nanoseconds shard workers spent waiting for input.
-    pub detector_worker_idle_ns: Counter,
     /// Frontier entries examined per access (antichain scan length).
     /// Detectors feed this through a [`ScanSampler`](crate::ScanSampler):
     /// a deterministic 1-in-16 systematic sample, so the per-access cost
@@ -164,8 +151,7 @@ pub struct Metrics {
     pub detector_epoch_deescalations: Counter,
     /// Accesses short-circuited by the same-epoch memo (no history work).
     pub detector_epoch_memo_hits: Counter,
-    /// Most simultaneously escalated (full-history) locations, summed over
-    /// shard frontiers.
+    /// Most simultaneously escalated (full-history) locations.
     pub detector_epoch_resident_shared: MaxGauge,
     /// Checkpoint bytes serialized (sealed container size, summed over
     /// saves).
@@ -187,14 +173,8 @@ pub struct Metrics {
     /// Instrumented execution (simulator run, including sampling and
     /// logging).
     pub phase_execute: PhaseStats,
-    /// Whole offline detection, any path.
+    /// Whole offline detection.
     pub phase_detect: PhaseStats,
-    /// Sequential synchronization pre-pass of the sharded detector.
-    pub phase_sync_prepass: PhaseStats,
-    /// Per-shard frontier replay (one span per worker).
-    pub phase_shard_replay: PhaseStats,
-    /// Merge of per-shard race pairs into the final report.
-    pub phase_merge: PhaseStats,
 }
 
 impl Metrics {
@@ -251,12 +231,6 @@ impl Metrics {
             log_stream_queue: LevelGauges::new(),
             log_decode_total_records: MaxGauge::new(),
             log_records_by_thread: SlotCounters::new(),
-            detector_records_routed: Counter::new(),
-            detector_shard_events: SlotCounters::new(),
-            detector_shard_queue: LevelGauges::new(),
-            detector_stream_stalls: Counter::new(),
-            detector_worker_busy_ns: Counter::new(),
-            detector_worker_idle_ns: Counter::new(),
             detector_frontier_scan: Histogram::new(),
             detector_compact_runs: Counter::new(),
             detector_compact_dropped: Counter::new(),
@@ -274,14 +248,11 @@ impl Metrics {
             detector_races_suppressed: Counter::new(),
             phase_execute: PhaseStats::new(),
             phase_detect: PhaseStats::new(),
-            phase_sync_prepass: PhaseStats::new(),
-            phase_shard_replay: PhaseStats::new(),
-            phase_merge: PhaseStats::new(),
         }
     }
 
     /// Name↔field table for plain counters (the canonical metric names).
-    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 54] {
+    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 50] {
         [
             ("instrument.dispatch.checks", &self.instrument_dispatch_checks),
             ("instrument.dispatch.sampled", &self.instrument_dispatch_sampled),
@@ -358,10 +329,6 @@ impl Metrics {
             ),
             ("log.stream.blocks", &self.log_stream_blocks),
             ("log.stream.stalls", &self.log_stream_stalls),
-            ("detector.records.routed", &self.detector_records_routed),
-            ("detector.stream.stalls", &self.detector_stream_stalls),
-            ("detector.worker.busy_ns", &self.detector_worker_busy_ns),
-            ("detector.worker.idle_ns", &self.detector_worker_idle_ns),
             ("detector.compact.runs", &self.detector_compact_runs),
             ("detector.compact.dropped", &self.detector_compact_dropped),
             ("detector.epoch.escalations", &self.detector_epoch_escalations),
@@ -392,7 +359,7 @@ impl Metrics {
     }
 
     /// Name↔field table for slot-attributed counter families.
-    pub(crate) fn slot_families(&self) -> [(&'static str, Vec<u64>); 7] {
+    pub(crate) fn slot_families(&self) -> [(&'static str, Vec<u64>); 5] {
         [
             (
                 "instrument.dispatch.checks_by_thread",
@@ -407,11 +374,6 @@ impl Metrics {
                 self.sampler_burst_transitions.values(),
             ),
             ("log.records_by_thread", self.log_records_by_thread.values()),
-            ("detector.shard.events", self.detector_shard_events.values()),
-            (
-                "detector.shard.queue_depth_hwm",
-                self.detector_shard_queue.hwm_values(),
-            ),
             (
                 "log.stream.queue_depth_hwm",
                 self.log_stream_queue.hwm_values(),
@@ -465,13 +427,10 @@ impl Metrics {
     }
 
     /// Name↔field table for phases.
-    pub(crate) fn phases(&self) -> [(&'static str, &PhaseStats); 5] {
+    pub(crate) fn phases(&self) -> [(&'static str, &PhaseStats); 2] {
         [
             ("phase.execute", &self.phase_execute),
             ("phase.detect", &self.phase_detect),
-            ("phase.sync_prepass", &self.phase_sync_prepass),
-            ("phase.shard_replay", &self.phase_shard_replay),
-            ("phase.merge", &self.phase_merge),
         ]
     }
 
@@ -489,8 +448,6 @@ impl Metrics {
         self.instrument_dispatch_sampled_by_thread.reset();
         self.sampler_burst_transitions.reset();
         self.log_records_by_thread.reset();
-        self.detector_shard_events.reset();
-        self.detector_shard_queue.reset();
         self.log_stream_queue.reset();
         self.log_decode_blocks_inflight_hwm.reset();
         self.log_decode_total_records.reset();
@@ -537,13 +494,13 @@ mod tests {
     fn reset_zeroes_everything() {
         let m = Metrics::new();
         m.instrument_dispatch_checks.add(5);
-        m.detector_shard_events.add(3, 7);
+        m.log_records_by_thread.add(3, 7);
         m.detector_frontier_scan.record(9);
-        m.phase_merge.record_ns(11);
+        m.phase_detect.record_ns(11);
         m.reset();
         assert_eq!(m.instrument_dispatch_checks.get(), 0);
-        assert_eq!(m.detector_shard_events.total(), 0);
+        assert_eq!(m.log_records_by_thread.total(), 0);
         assert_eq!(m.detector_frontier_scan.count(), 0);
-        assert_eq!(m.phase_merge.count(), 0);
+        assert_eq!(m.phase_detect.count(), 0);
     }
 }

@@ -63,7 +63,7 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Monotonic gauges, by canonical name.
     pub gauges: BTreeMap<String, u64>,
-    /// Slot-attributed counter families (per-thread, per-shard, per-level).
+    /// Slot-attributed counter families (per-thread, per-level).
     pub slots: BTreeMap<String, Vec<u64>>,
     /// Histograms.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
@@ -132,8 +132,6 @@ impl Snapshot {
                 num as f64 / den as f64
             }
         };
-        let busy = self.counter("detector.worker.busy_ns");
-        let idle = self.counter("detector.worker.idle_ns");
         let values = [
             (
                 "log.decode.v2.mb_per_s",
@@ -156,7 +154,6 @@ impl Snapshot {
                     self.counter("instrument.dispatch.checks"),
                 ),
             ),
-            ("detector.worker.utilization", ratio(busy, busy + idle)),
         ];
         self.derived.clear();
         for (name, v) in values {
@@ -308,15 +305,11 @@ impl Snapshot {
             "log.decode.v2.bytes",
             "log.decode.v2.ns",
             "log.stream.stalls",
-            "detector.records.routed",
-            "detector.stream.stalls",
             "detector.races.static",
             "detector.races.dynamic",
         ];
         const REQUIRED_SLOTS: &[&str] = &[
             "sampler.burst.transitions",
-            "detector.shard.events",
-            "detector.shard.queue_depth_hwm",
         ];
         let mut missing = Vec::new();
         for &name in REQUIRED_COUNTERS {
@@ -497,10 +490,10 @@ mod tests {
         let m = Metrics::new();
         m.instrument_dispatch_checks.add(100);
         m.instrument_dispatch_sampled.add(12);
-        m.detector_shard_events.add(2, 40);
+        m.log_records_by_thread.add(2, 40);
         m.detector_frontier_scan.record(5);
         m.detector_frontier_scan.record(1000);
-        m.phase_merge.record_ns(12345);
+        m.phase_detect.record_ns(12345);
         m.log_decode_v2_bytes.add(1 << 20);
         m.log_decode_v2_ns.add(1_000_000_000);
         let snap = m.snapshot();
@@ -605,7 +598,7 @@ mod tests {
         m.detector_frontier_scan.record(7);
         let text = m.snapshot().to_prometheus();
         assert!(text.contains("# TYPE literace_instrument_dispatch_checks counter"));
-        assert!(text.contains("literace_detector_shard_events{slot=\"0\"}"));
+        assert!(text.contains("literace_log_records_by_thread{slot=\"0\"}"));
         assert!(text.contains("literace_detector_frontier_scan_len_bucket{le=\"+Inf\"}"));
         assert!(text.contains("literace_detector_frontier_scan_len_sum"));
         assert!(!text.contains(".."), "no unsanitized names");

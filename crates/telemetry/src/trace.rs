@@ -3,8 +3,7 @@
 //! Where the metrics registry answers *how much* (counters, gauges,
 //! histograms), tracing answers *when and where wall-clock went*: every
 //! pipeline actor — the run thread, each encode worker, the in-order
-//! committer, the decode scanner/workers/consumer, each detector shard —
-//! records span begin/end, instant, and counter events into a thread-local
+//! committer, the decode scanner/workers/consumer — records span begin/end, instant, and counter events into a thread-local
 //! [`TraceBuf`], and the buffers are drained at exit into Chrome
 //! trace-event JSON (see [`trace_export`](crate::trace_export)).
 //!
@@ -33,7 +32,7 @@
 //!   never produces half-open spans.
 //! * **Named tracks.** A buffer's track name defaults to the OS thread
 //!   name (every pipeline worker is spawned named: `literace-encode-0`,
-//!   `literace-shard-3`, …), so one track per actor falls out of the
+//!   `literace-decode-1`, …), so one track per actor falls out of the
 //!   existing thread naming.
 
 use std::cell::RefCell;

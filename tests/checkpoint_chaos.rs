@@ -12,13 +12,23 @@
 //! recovery story is "resume from the previous sealed checkpoint", which
 //! these tests pin end to end.
 
-use literace::detector::{detect, detect_resume, Checkpoint, HbDetector};
+use literace::detector::{
+    detect, detect_stream_checkpointed, Checkpoint, HbConfig, HbDetector, RaceReport,
+};
 use literace::instrument::{InstrumentConfig, Instrumenter};
-use literace::log::EventLog;
+use literace::log::{EventLog, LogResult, Record};
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
 use literace::workloads::synthetic::{racy, SyntheticConfig};
 use proptest::prelude::*;
+
+/// Continues detection from `cp` over `records`, the records after the
+/// checkpointed position.
+fn resume_from(cp: &Checkpoint, records: &[Record], non_stack: u64) -> RaceReport {
+    let block: LogResult<&[Record]> = Ok(records);
+    detect_stream_checkpointed([block], non_stack, &HbConfig::default(), Some(cp), 0, None)
+        .expect("in-memory records detect")
+}
 
 /// Runs `program` once under full logging, returning the log and the
 /// non-stack access count.
@@ -154,9 +164,8 @@ fn resume_from_the_prior_sealed_checkpoint_after_a_torn_save() {
             older_at as u64,
             "{what}: fallback must pick the prior generation, not the torn one"
         );
-        let suffix: EventLog = log.records()[older_at..].iter().copied().collect();
         assert_eq!(
-            detect_resume(&suffix, &loaded, non_stack),
+            resume_from(&loaded, &log.records()[older_at..], non_stack),
             expected,
             "{what}: fallback resume fabricated or dropped a race"
         );
@@ -214,7 +223,6 @@ proptest! {
 
         // The sealed generation still resumes to the one-shot report.
         let cp = Checkpoint::from_bytes(&sealed).expect("sealed checkpoint loads");
-        let suffix: EventLog = log.records()[split..].iter().copied().collect();
-        prop_assert_eq!(detect_resume(&suffix, &cp, non_stack), expected);
+        prop_assert_eq!(resume_from(&cp, &log.records()[split..], non_stack), expected);
     }
 }

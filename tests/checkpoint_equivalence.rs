@@ -8,9 +8,9 @@
 //! an operational convenience, not a semantic change: this suite splits
 //! detection at **every block boundary** of every bundled workload (and
 //! at random boundaries of random racy programs under proptest), resumes
-//! the suffix on every detection path — sequential, sharded ×{2,4,8},
-//! streaming — and requires the whole [`RaceReport`] to match one-shot
-//! detection field for field.
+//! the suffix — as one in-memory block and streamed in blocks — and
+//! requires the whole [`RaceReport`] to match one-shot detection field for
+//! field.
 //!
 //! Every checkpoint is round-tripped through its sealed byte form
 //! (`to_bytes` → `from_bytes`) before resuming, so the suite pins the wire
@@ -18,8 +18,7 @@
 //! snapshot.
 
 use literace::detector::{
-    detect, detect_resume, detect_sharded_resume, detect_stream_checkpointed,
-    detect_stream_resume, Checkpoint, DetectConfig, HbDetector,
+    detect, detect_stream_checkpointed, Checkpoint, HbConfig, HbDetector, RaceReport,
 };
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{EventLog, LogResult, Record};
@@ -28,9 +27,9 @@ use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Progr
 use literace::workloads::synthetic::{racy, SyntheticConfig};
 use proptest::prelude::*;
 
-/// Records per streamed block — the granularity `detect --streaming`
-/// hands the detector, and therefore the boundaries a production
-/// checkpoint can land on.
+/// Records per streamed block — the granularity `literace detect` hands
+/// the detector, and therefore the boundaries a production checkpoint can
+/// land on.
 const BLOCK_RECORDS: usize = 4096;
 
 /// Runs `program` once under full logging, returning the log and the
@@ -47,6 +46,14 @@ fn full_log(program: &Program, seed: u64) -> (EventLog, u64) {
     (inst.finish().log, summary.non_stack_accesses)
 }
 
+/// Resumes `cp` over `records` (those after the checkpointed position),
+/// fed in blocks of `block` records.
+fn resume(records: &[Record], block: usize, cp: &Checkpoint, non_stack: u64) -> RaceReport {
+    let blocks = records.chunks(block.max(1)).map(|c| LogResult::Ok(c.to_vec()));
+    detect_stream_checkpointed(blocks, non_stack, &HbConfig::default(), Some(cp), 0, None)
+        .expect("in-memory blocks decode")
+}
+
 /// Detects `records[..split]`, seals the state, and round-trips it
 /// through the wire format.
 fn sealed_checkpoint_at(records: &[Record], split: usize, non_stack: u64) -> Checkpoint {
@@ -60,42 +67,25 @@ fn sealed_checkpoint_at(records: &[Record], split: usize, non_stack: u64) -> Che
     back
 }
 
-/// Resumes the suffix after `split` on every detection path and requires
-/// each report to equal `expected` (the one-shot report) byte for byte.
+/// Resumes the suffix after `split`, as one block and streamed in
+/// [`BLOCK_RECORDS`] blocks, and requires each report to equal `expected`
+/// (the one-shot report) byte for byte.
 fn assert_resume_matches(
     records: &[Record],
     split: usize,
-    expected: &literace::detector::RaceReport,
+    expected: &RaceReport,
     non_stack: u64,
     context: &str,
 ) {
     let cp = sealed_checkpoint_at(records, split, non_stack);
     assert_eq!(cp.records_processed(), split as u64, "{context}");
-    let suffix: EventLog = records[split..].iter().copied().collect();
-
-    let sequential = detect_resume(&suffix, &cp, non_stack);
+    let suffix = &records[split..];
+    let whole = resume(suffix, suffix.len(), &cp, non_stack);
     assert_eq!(
-        expected, &sequential,
-        "{context}: sequential resume at {split} diverged"
+        expected, &whole,
+        "{context}: one-block resume at {split} diverged"
     );
-    for threads in [2usize, 4, 8] {
-        let sharded = detect_sharded_resume(
-            &suffix,
-            non_stack,
-            &DetectConfig::with_threads(threads),
-            &cp,
-        );
-        assert_eq!(
-            expected, &sharded,
-            "{context}: sharded×{threads} resume at {split} diverged"
-        );
-    }
-    let blocks: Vec<LogResult<Vec<Record>>> = records[split..]
-        .chunks(BLOCK_RECORDS)
-        .map(|c| Ok(c.to_vec()))
-        .collect();
-    let streamed = detect_stream_resume(blocks, non_stack, &DetectConfig::with_threads(4), &cp)
-        .expect("in-memory blocks decode");
+    let streamed = resume(suffix, BLOCK_RECORDS, &cp, non_stack);
     assert_eq!(
         expected, &streamed,
         "{context}: streaming resume at {split} diverged"
@@ -143,25 +133,21 @@ fn every_periodically_emitted_checkpoint_resumes_to_the_one_shot_report() {
     let driven = detect_stream_checkpointed(
         blocks,
         non_stack,
-        &DetectConfig::default(),
+        &HbConfig::default(),
         None,
         3,
-        |cp| {
+        Some(&mut |cp: &Checkpoint| {
             saved.push(Checkpoint::from_bytes(&cp.to_bytes()).expect("sealed"));
             Ok(())
-        },
+        }),
     )
     .expect("in-memory blocks decode");
     assert_eq!(expected, driven, "checkpointing must not perturb detection");
     assert!(saved.len() >= 2, "every-3-blocks must fire repeatedly");
     for cp in &saved {
-        let done = cp.records_processed() as usize;
-        let suffix: EventLog = log.records()[done..].iter().copied().collect();
-        assert_eq!(expected, detect_resume(&suffix, cp, non_stack));
-        assert_eq!(
-            expected,
-            detect_sharded_resume(&suffix, non_stack, &DetectConfig::with_threads(4), cp)
-        );
+        let suffix = &log.records()[cp.records_processed() as usize..];
+        assert_eq!(expected, resume(suffix, suffix.len(), cp, non_stack));
+        assert_eq!(expected, resume(suffix, BLOCK_RECORDS, cp, non_stack));
     }
     // Handoff chain: the *resumed* detector's state re-checkpoints into a
     // second hop that still lands on the one-shot report — worker A's
@@ -174,8 +160,8 @@ fn every_periodically_emitted_checkpoint_resumes_to_the_one_shot_report() {
     }
     let second = Checkpoint::from_bytes(&hop.save_checkpoint(non_stack).to_bytes())
         .expect("second-hop checkpoint seals");
-    let suffix: EventLog = log.records()[mid..].iter().copied().collect();
-    assert_eq!(expected, detect_resume(&suffix, &second, non_stack));
+    let suffix = &log.records()[mid..];
+    assert_eq!(expected, resume(suffix, BLOCK_RECORDS, &second, non_stack));
 }
 
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
@@ -194,8 +180,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random racy programs, random split boundaries: resuming from a
-    /// sealed checkpoint reproduces one-shot detection exactly on every
-    /// path.
+    /// sealed checkpoint reproduces one-shot detection exactly, in one
+    /// block or streamed.
     #[test]
     fn random_racy_programs_resume_identically_at_random_boundaries(
         cfg in arb_config(),

@@ -1,7 +1,7 @@
 //! Parallel-decode equivalence: reading a v2 log through the out-of-order
 //! worker pool must be *byte-identical* to the sequential decoder — the
-//! same records in the same order, the same race reports on every
-//! detection path, the same strict errors and the same salvage tallies —
+//! same records in the same order, the same race reports in memory and
+//! streamed, the same strict errors and the same salvage tallies —
 //! for every decode-thread count and both v2 payload revisions.
 //!
 //! This is the contract that lets `--decode-threads auto` default on:
@@ -10,7 +10,7 @@
 //! the running file checksum, and applies the sequential error and
 //! salvage rules verbatim.
 
-use literace::detector::{detect, detect_sharded, detect_stream, DetectConfig};
+use literace::detector::{detect, detect_stream, HbConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{
     encode_v2_rev, read_log_salvage, DecodeOpts, EventLog, Record, RecordStream,
@@ -22,7 +22,6 @@ use literace::workloads::synthetic::{racy, SyntheticConfig};
 use proptest::prelude::*;
 
 const DECODE_THREADS: [usize; 3] = [1, 2, 4];
-const DETECT_THREADS: [usize; 3] = [2, 4, 8];
 
 /// Runs `program` once under full logging and returns the event log plus
 /// the non-stack access count the detector needs for rarity splits.
@@ -55,8 +54,8 @@ fn pool_records(bytes: &[u8], threads: usize) -> Vec<Record> {
 
 /// The core check: for both payload revisions and every decode-thread
 /// count, the pool reproduces the sequential record stream exactly, and
-/// every detection path (sequential, sharded, streaming) over the pooled
-/// stream matches the materialized sequential report.
+/// detection over the pooled stream — materialized or streamed straight
+/// from the pool — matches the sequential report.
 fn assert_pool_identical(log: &EventLog, non_stack: u64, context: &str) {
     let sequential = detect(log, non_stack);
     for rev in [V2_REV_DELTA, V2_REV_GV] {
@@ -75,29 +74,19 @@ fn assert_pool_identical(log: &EventLog, non_stack: u64, context: &str) {
                 detect(&materialized, non_stack),
                 "{context}: rev {rev} × {decode_threads} sequential detect diverged"
             );
-            for detect_threads in DETECT_THREADS {
-                let cfg = DetectConfig::with_threads(detect_threads);
-                assert_eq!(
-                    sequential,
-                    detect_sharded(&materialized, non_stack, &cfg),
-                    "{context}: rev {rev} × {decode_threads}×{detect_threads} \
-                     sharded detect diverged"
-                );
-                // Pool straight into the streaming workers: the full
-                // parallel pipeline end to end.
-                let stream = RecordStream::spawn_bytes(
-                    bytes.to_vec().into(),
-                    DecodeOpts::with_threads(decode_threads),
-                )
-                .expect("pool spawns");
-                let report = detect_stream(stream, non_stack, &cfg)
-                    .expect("clean log decodes");
-                assert_eq!(
-                    sequential, report,
-                    "{context}: rev {rev} × {decode_threads}×{detect_threads} \
-                     streaming detect diverged"
-                );
-            }
+            // Pool straight into the detector: the decode pipeline end
+            // to end.
+            let stream = RecordStream::spawn_bytes(
+                bytes.to_vec().into(),
+                DecodeOpts::with_threads(decode_threads),
+            )
+            .expect("pool spawns");
+            let report = detect_stream(stream, non_stack, &HbConfig::default())
+                .expect("clean log decodes");
+            assert_eq!(
+                sequential, report,
+                "{context}: rev {rev} × {decode_threads} streaming detect diverged"
+            );
         }
     }
 }

@@ -7,11 +7,11 @@
 //! optimization, not a semantic change: this suite pins it against a
 //! self-contained replica of the *seed* algorithm — per-location
 //! `Vec<Access>` antichains, no epochs, no memo — and requires the whole
-//! [`RaceReport`] to match, field for field, on every detection path
-//! (sequential, sharded ×{2,4,8}, streaming), over random racy programs
-//! and every bundled workload.
+//! [`RaceReport`] to match, field for field, for the in-memory log and for
+//! the same records streamed in blocks, over random racy programs and
+//! every bundled workload.
 
-use literace::detector::{detect, detect_sharded, detect_stream, DetectConfig};
+use literace::detector::{detect, detect_stream, HbConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::EventLog;
 use literace::prelude::*;
@@ -266,12 +266,8 @@ fn assert_all_paths_match_seed(log: &EventLog, non_stack: u64, context: &str) {
     let expected = seed_reference::detect_seed(log, non_stack);
     let sequential = detect(log, non_stack);
     assert_eq!(expected, sequential, "{context}: sequential diverged");
-    for threads in [2usize, 4, 8] {
-        let sharded = detect_sharded(log, non_stack, &DetectConfig::with_threads(threads));
-        assert_eq!(expected, sharded, "{context}: sharded×{threads} diverged");
-    }
     let blocks = log.records().chunks(4096).map(|c| Ok(c.to_vec()));
-    let streamed = detect_stream(blocks, non_stack, &DetectConfig::with_threads(4))
+    let streamed = detect_stream(blocks, non_stack, &HbConfig::default())
         .expect("in-memory blocks decode");
     assert_eq!(expected, streamed, "{context}: streaming diverged");
 }

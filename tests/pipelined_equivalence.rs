@@ -1,8 +1,9 @@
 //! Pipelined-sink equivalence: a v2 log written through the pipelined
 //! write path (raw block builders → background encode pool → in-order
 //! committer) must decode to an [`EventLog`] identical to the inline
-//! `V2Sink` log, and detection reports over it must be byte-identical on
-//! every detection path — for every encode-thread count and block size.
+//! `V2Sink` log, and detection reports over it must be byte-identical,
+//! materialized or streamed through the decode pool — for every
+//! encode-thread count and block size.
 //!
 //! Block *boundaries* legitimately differ (the pipelined sink seals at a
 //! record count, the inline writer at a payload-byte threshold), so the
@@ -13,7 +14,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use literace::detector::{detect, detect_sharded, detect_stream, DetectConfig};
+use literace::detector::{detect, detect_stream, HbConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter, V2Sink};
 use literace::log::{
     read_log_auto, read_log_salvage, DecodeOpts, EncodeOpts, EventLog, FaultPlan, FaultyReader,
@@ -26,7 +27,7 @@ use proptest::prelude::*;
 
 const ENCODE_THREADS: [usize; 3] = [1, 2, 4];
 const BLOCK_RECORDS: [usize; 3] = [16, 256, 4096];
-const DETECT_THREADS: [usize; 2] = [2, 4];
+const DECODE_THREADS: [usize; 2] = [2, 4];
 
 /// Runs `program` once under full logging and returns the event log plus
 /// the non-stack access count the detector needs for rarity splits.
@@ -53,9 +54,9 @@ fn pipelined_bytes(log: &EventLog, opts: EncodeOpts) -> Vec<u8> {
 }
 
 /// The core check: for every encode-thread count × block size, the
-/// pipelined log decodes to the identical record sequence, and every
-/// detection path (sequential, sharded, streaming) over it reproduces
-/// the inline-sink report exactly.
+/// pipelined log decodes to the identical record sequence, and detection
+/// over it — materialized, or streamed through the decode pool at each
+/// decode-thread count — reproduces the inline-sink report exactly.
 fn assert_pipelined_identical(log: &EventLog, non_stack: u64, context: &str) {
     let sequential = detect(log, non_stack);
     for threads in ENCODE_THREADS {
@@ -74,24 +75,17 @@ fn assert_pipelined_identical(log: &EventLog, non_stack: u64, context: &str) {
                 detect(&decoded, non_stack),
                 "{context}: {threads}×{block_records} sequential detect diverged"
             );
-            for detect_threads in DETECT_THREADS {
-                let cfg = DetectConfig::with_threads(detect_threads);
-                assert_eq!(
-                    sequential,
-                    detect_sharded(&decoded, non_stack, &cfg),
-                    "{context}: {threads}×{block_records}×{detect_threads} \
-                     sharded detect diverged"
-                );
+            for decode_threads in DECODE_THREADS {
                 let stream = RecordStream::spawn_bytes(
                     bytes.clone().into(),
-                    DecodeOpts::with_threads(detect_threads),
+                    DecodeOpts::with_threads(decode_threads),
                 )
                 .expect("pool spawns");
-                let report =
-                    detect_stream(stream, non_stack, &cfg).expect("clean log decodes");
+                let report = detect_stream(stream, non_stack, &HbConfig::default())
+                    .expect("clean log decodes");
                 assert_eq!(
                     sequential, report,
-                    "{context}: {threads}×{block_records}×{detect_threads} \
+                    "{context}: {threads}×{block_records}×{decode_threads} \
                      streaming detect diverged"
                 );
             }

@@ -10,7 +10,7 @@
 //! in principle break the subset relation for very hot locations, so the
 //! generated programs stay far below it.
 
-use literace::detector::{detect, detect_stream, DetectConfig};
+use literace::detector::{detect, detect_stream, HbConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{
     read_log_salvage, EventLog, FaultPlan, FaultyReader, LogWriterV2, RecordStream,
@@ -101,7 +101,7 @@ proptest! {
         let reader = FaultyReader::new(std::io::Cursor::new(bytes), plan, seed);
         let (stream, handle) = RecordStream::spawn_salvage(reader, DEFAULT_STREAM_DEPTH)
             .expect("decoder thread spawns");
-        let streamed = detect_stream(stream, non_stack, &DetectConfig::with_threads(4))
+        let streamed = detect_stream(stream, non_stack, &HbConfig::default())
             .expect("salvage streams never yield Err");
         prop_assert_eq!(&from_salvage, &streamed, "streaming salvage diverged");
         let streamed_report = handle.report();

@@ -1,16 +1,14 @@
 //! Streaming-ingest equivalence: `detect_stream` must be *byte-identical*
-//! to the sequential detector — same static races in the same order, same
-//! dynamic counts, same overflow accounting — for every thread count and
-//! whichever way the blocks arrive: in-memory chunks, the synchronous
-//! block reader over either encoding, or the decoder-thread
-//! `RecordStream`.
+//! to the in-memory detector — same static races in the same order, same
+//! dynamic counts, same overflow accounting — whichever way the blocks
+//! arrive: in-memory chunks, the synchronous block reader over either
+//! encoding, or the decoder-thread `RecordStream`.
 //!
-//! This is the contract that makes `--streaming` safe to default on: the
-//! router freezes each thread's clock eagerly at first use per sync
-//! generation, which is value-identical to the materialized path's lazy
-//! freeze because clocks only change at sync operations.
+//! This is the contract that lets `literace detect` always stream: the
+//! detector consumes records in log order, so block boundaries can never
+//! change what it sees.
 
-use literace::detector::{detect, detect_stream, DetectConfig, RaceReport};
+use literace::detector::{detect, detect_stream, HbConfig, RaceReport};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{
     encode_v2, log_to_bytes, EventLog, RecordBlocks, RecordStream, DEFAULT_STREAM_DEPTH,
@@ -19,8 +17,6 @@ use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
 use literace::workloads::synthetic::{race_free, racy, SyntheticConfig};
 use proptest::prelude::*;
-
-const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
 /// Runs `program` once under full logging and returns the event log plus
 /// the non-stack access count the detector needs for rarity splits.
@@ -36,52 +32,40 @@ fn full_log(program: &Program, seed: u64) -> (EventLog, u64) {
     (inst.finish().log, summary.non_stack_accesses)
 }
 
-/// Asserts streaming detection agrees exactly with the sequential
-/// detector for every thread count, feeding the stream three ways.
+/// Asserts streaming detection agrees exactly with the in-memory
+/// detector, feeding the stream three ways.
 fn assert_stream_identical(log: &EventLog, non_stack: u64, context: &str) {
     let sequential = detect(log, non_stack);
+    let cfg = HbConfig::default();
     let v1 = log_to_bytes(log);
     let v2 = encode_v2(log);
-    for threads in THREAD_COUNTS {
-        let cfg = DetectConfig::with_threads(threads);
-        // In-memory chunks, no codec involved.
-        let chunked: RaceReport = detect_stream(
-            log.records().chunks(100).map(|c| Ok(c.to_vec())),
-            non_stack,
-            &cfg,
-        )
-        .expect("in-memory blocks decode");
-        assert_eq!(
-            sequential, chunked,
-            "{context}: stream({threads}, chunks) diverged from sequential"
-        );
-        // Synchronous block reader over both encodings.
-        for (name, bytes) in [("v1", &v1), ("v2", &v2)] {
-            let blocks = RecordBlocks::open(&bytes[..]).expect("encoded log opens");
-            let report = detect_stream(blocks, non_stack, &cfg)
-                .expect("encoded log decodes");
-            assert_eq!(
-                sequential, report,
-                "{context}: stream({threads}, {name} blocks) diverged"
-            );
-        }
-        // Decoder thread feeding the routing thread feeding the workers.
-        let stream = RecordStream::spawn(
-            std::io::Cursor::new(v2.to_vec()),
-            DEFAULT_STREAM_DEPTH,
-        )
-        .expect("stream opens");
-        let report = detect_stream(stream, non_stack, &cfg).expect("stream decodes");
-        assert_eq!(
-            sequential, report,
-            "{context}: stream({threads}, RecordStream) diverged"
-        );
-        assert_eq!(
-            format!("{sequential:?}"),
-            format!("{report:?}"),
-            "{context}: stream({threads}) renders differently"
-        );
+    // In-memory chunks, no codec involved.
+    let chunked: RaceReport = detect_stream(
+        log.records().chunks(100).map(|c| Ok(c.to_vec())),
+        non_stack,
+        &cfg,
+    )
+    .expect("in-memory blocks decode");
+    assert_eq!(
+        sequential, chunked,
+        "{context}: stream(chunks) diverged from sequential"
+    );
+    // Synchronous block reader over both encodings.
+    for (name, bytes) in [("v1", &v1), ("v2", &v2)] {
+        let blocks = RecordBlocks::open(&bytes[..]).expect("encoded log opens");
+        let report = detect_stream(blocks, non_stack, &cfg).expect("encoded log decodes");
+        assert_eq!(sequential, report, "{context}: stream({name} blocks) diverged");
     }
+    // Decoder thread feeding the detector.
+    let stream = RecordStream::spawn(std::io::Cursor::new(v2.to_vec()), DEFAULT_STREAM_DEPTH)
+        .expect("stream opens");
+    let report = detect_stream(stream, non_stack, &cfg).expect("stream decodes");
+    assert_eq!(sequential, report, "{context}: stream(RecordStream) diverged");
+    assert_eq!(
+        format!("{sequential:?}"),
+        format!("{report:?}"),
+        "{context}: stream renders differently"
+    );
 }
 
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
@@ -99,8 +83,8 @@ fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random racy programs: streaming == sequential for 2, 4 and 8
-    /// workers over every ingest path.
+    /// Random racy programs: streaming == in-memory over every ingest
+    /// path.
     #[test]
     fn streaming_matches_sequential_on_racy_programs(cfg in arb_config()) {
         let (program, _) = racy(cfg);
@@ -130,8 +114,8 @@ fn streaming_is_byte_identical_on_every_workload() {
     }
 }
 
-/// A decode error mid-stream surfaces as `Err` after the workers join;
-/// no partial report and no hang.
+/// A decode error mid-stream surfaces as `Err`; no partial report and no
+/// hang.
 #[test]
 fn stream_decode_errors_propagate() {
     let w = build(WorkloadId::LfList, Scale::Smoke);
@@ -139,6 +123,6 @@ fn stream_decode_errors_propagate() {
     let mut bytes = encode_v2(&log).to_vec();
     bytes.pop(); // the final block's payload now falls short of its header
     let blocks = RecordBlocks::open(&bytes[..]).expect("header is intact");
-    let err = detect_stream(blocks, non_stack, &DetectConfig::with_threads(4));
+    let err = detect_stream(blocks, non_stack, &HbConfig::default());
     assert!(err.is_err(), "corrupted tail block must fail detection");
 }

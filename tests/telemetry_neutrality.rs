@@ -1,6 +1,6 @@
 //! Telemetry neutrality: flipping metrics recording — or event tracing —
-//! on can never change what the pipeline produces — not a race report on
-//! any detection path (sequential, sharded ×{2,4,8}, streaming), not a
+//! on can never change what the pipeline produces — not a race report,
+//! whether the log is detected in memory or streamed in blocks, and not a
 //! byte of an encoded log. This is the contract that makes
 //! `--metrics-out` and `--trace-out` safe to use on a run whose results
 //! matter.
@@ -11,11 +11,10 @@
 
 use std::sync::Mutex;
 
-use literace::detector::{
-    detect, detect_sharded, detect_stream, DetectConfig, RaceReport,
-};
-use literace::instrument::{InstrumentConfig, Instrumenter};
-use literace::log::{EventLog, LogWriterV2};
+use literace::detector::{detect, detect_stream, HbConfig, RaceReport};
+use literace::instrument::{InstrumentConfig, Instrumenter, V2Sink};
+use literace::log::{EventLog, LogWriterV2, RecordBlocks};
+use literace::pipeline::run_literace_with_sink;
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
 use literace::telemetry;
@@ -64,22 +63,15 @@ fn full_log(program: &Program, seed: u64) -> (EventLog, u64) {
     (inst.finish().log, summary.non_stack_accesses)
 }
 
-/// One report per detection path: sequential, sharded ×{2,4,8}, streaming.
+/// One report per detection input: the in-memory log and the same
+/// records streamed in blocks.
 fn all_paths(log: &EventLog, non_stack: u64) -> Vec<RaceReport> {
-    let mut out = vec![detect(log, non_stack)];
-    for threads in [2usize, 4, 8] {
-        out.push(detect_sharded(
-            log,
-            non_stack,
-            &DetectConfig::with_threads(threads),
-        ));
-    }
     let blocks = log.records().chunks(4096).map(|c| Ok(c.to_vec()));
-    out.push(
-        detect_stream(blocks, non_stack, &DetectConfig::with_threads(4))
+    vec![
+        detect(log, non_stack),
+        detect_stream(blocks, non_stack, &HbConfig::default())
             .expect("in-memory blocks decode"),
-    );
-    out
+    ]
 }
 
 fn v2_bytes(log: &EventLog) -> Vec<u8> {
@@ -117,10 +109,9 @@ fn workload_reports_are_byte_identical_on_vs_off() {
 }
 
 /// Event tracing is neutral too: with `--trace-out`-style tracing on,
-/// every detection path's report and the v2 encoding of the log are
+/// every detection input's report and the v2 encoding of the log are
 /// byte-identical to a fully untraced run — tracing observes the
-/// pipeline, never steers it. While off the trace collector stays empty;
-/// while on the sharded workers show up as their own tracks.
+/// pipeline, never steers it. While off the trace collector stays empty.
 #[test]
 fn tracing_reports_and_log_bytes_are_byte_identical_on_vs_off() {
     let _guard = serialized();
@@ -157,53 +148,60 @@ fn tracing_reports_and_log_bytes_are_byte_identical_on_vs_off() {
             "{}: tracing enabled recorded no events",
             id.name()
         );
-        assert!(
-            on_tracks.iter().any(|t| t.track.starts_with("literace-shard-")),
-            "{}: sharded workers missing from tracks: {:?}",
-            id.name(),
-            on_tracks.iter().map(|t| &t.track).collect::<Vec<_>>()
-        );
     }
 }
 
 #[test]
-fn full_pipeline_is_neutral_including_streaming_detect() {
+fn full_pipeline_is_neutral() {
     let _guard = serialized();
     let w = build(WorkloadId::LfList, Scale::Smoke);
-    for threads in [1usize, 2, 4, 8] {
-        for streaming in [false, true] {
-            let mut cfg = RunConfig::seeded(3);
-            cfg.detect_threads = threads;
-            cfg.streaming_detect = streaming;
-            let run = |on| {
-                with_flag(on, || {
-                    run_literace(&w.program, SamplerKind::TlAdaptive, &cfg)
-                        .expect("pipeline runs")
-                })
-            };
-            let off = run(false);
-            let on = run(true);
-            let ctx = format!("threads={threads} streaming={streaming}");
-            assert_eq!(off.report, on.report, "{ctx}: report changed");
-            assert_eq!(
-                off.instrumented.log, on.instrumented.log,
-                "{ctx}: log changed"
-            );
-            assert_eq!(
-                (
-                    off.instrumented.stats.total_mem,
-                    off.instrumented.stats.logged_mem,
-                    off.instrumented.stats.sync_records,
-                ),
-                (
-                    on.instrumented.stats.total_mem,
-                    on.instrumented.stats.logged_mem,
-                    on.instrumented.stats.sync_records,
-                ),
-                "{ctx}: instrumentation counters changed"
-            );
-        }
-    }
+    let cfg = RunConfig::seeded(3);
+    let run = |on| {
+        with_flag(on, || {
+            run_literace(&w.program, SamplerKind::TlAdaptive, &cfg).expect("pipeline runs")
+        })
+    };
+    let off = run(false);
+    let on = run(true);
+    assert_eq!(off.report, on.report, "report changed");
+    assert_eq!(off.instrumented.log, on.instrumented.log, "log changed");
+    assert_eq!(
+        (
+            off.instrumented.stats.total_mem,
+            off.instrumented.stats.logged_mem,
+            off.instrumented.stats.sync_records,
+        ),
+        (
+            on.instrumented.stats.total_mem,
+            on.instrumented.stats.logged_mem,
+            on.instrumented.stats.sync_records,
+        ),
+        "instrumentation counters changed"
+    );
+    // The `run --streaming --log` shape: records stream to an encoded
+    // sink as the program runs and are detected block by block from the
+    // bytes.
+    let streamed = |on| {
+        with_flag(on, || {
+            let (summary, out) = run_literace_with_sink(
+                &w.program,
+                SamplerKind::TlAdaptive,
+                &cfg,
+                V2Sink::new(Vec::new()),
+            )
+            .expect("pipeline runs");
+            let bytes = out.log.finish().expect("vec sink");
+            let blocks = RecordBlocks::open(&bytes[..]).expect("sealed log opens");
+            let report = detect_stream(blocks, summary.non_stack_accesses, &cfg.detect_config())
+                .expect("sealed log decodes");
+            (report, bytes)
+        })
+    };
+    let (off_report, off_bytes) = streamed(false);
+    let (on_report, on_bytes) = streamed(true);
+    assert_eq!(off_report, on_report, "streamed report changed");
+    assert_eq!(off_report, off.report, "streamed report diverged from in-memory");
+    assert_eq!(off_bytes, on_bytes, "streamed log bytes changed");
 }
 
 #[test]
@@ -211,9 +209,8 @@ fn snapshot_round_trips_after_an_enabled_run() {
     let _guard = serialized();
     let w = build(WorkloadId::LfList, Scale::Smoke);
     with_flag(true, || {
-        let mut cfg = RunConfig::seeded(1);
-        cfg.detect_threads = 2;
-        run_literace(&w.program, SamplerKind::TlAdaptive, &cfg).expect("pipeline runs");
+        run_literace(&w.program, SamplerKind::TlAdaptive, &RunConfig::seeded(1))
+            .expect("pipeline runs");
     });
     let snap = telemetry::metrics().snapshot();
     let json = snap.to_json();
@@ -344,7 +341,7 @@ fn parallel_decode_pool_is_neutral() {
                 DecodeOpts::with_threads(4),
             )
             .expect("pool spawns");
-            detect_stream(stream, non_stack, &DetectConfig::with_threads(2))
+            detect_stream(stream, non_stack, &HbConfig::default())
                 .expect("clean log decodes")
         });
         (out, telemetry::metrics().snapshot())
@@ -432,8 +429,8 @@ fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random racy programs: every detection path and the v2 encoding are
-    /// unchanged by telemetry.
+    /// Random racy programs: every detection input and the v2 encoding
+    /// are unchanged by telemetry.
     #[test]
     fn random_racy_programs_are_neutral(cfg in arb_config()) {
         let (program, _) = racy(cfg);
