@@ -7,9 +7,8 @@ use literace::detector::{detect_stream, LocksetDetector};
 use literace::eval::{evaluate_program, EvalConfig};
 use literace::instrument::{V1Sink, V2Sink};
 use literace::log::{
-    auto_stream_depth, map_or_read, read_log_auto, read_log_salvage, AtomicFile, DecodeOpts,
-    EncodeOpts, LogFormat, LogStats, LogWriter, LogWriterV2, PipelinedSink, RecordBlocks,
-    RecordStream,
+    auto_stream_depth, map_or_read, read_log_auto, AtomicFile, DecodeOpts, EncodeOpts, LogFormat,
+    LogStats, LogWriter, LogWriterV2, PipelinedSink, RecordStream, SalvageHandle,
 };
 use literace::overhead::measure_overhead;
 use literace::prelude::*;
@@ -270,19 +269,30 @@ fn parse_encode_opts(flags: &crate::args::Flags) -> Result<Option<EncodeOpts>, S
     }
 }
 
-/// Opens `path` as a strict [`RecordStream`] with `opts`: memory-mapped
-/// (or read whole) for zero-copy payload handoff when the parallel pool
-/// is active, plain file streaming otherwise.
-fn spawn_log_stream(path: &str, opts: DecodeOpts) -> Result<RecordStream, String> {
-    let stream = if opts.threads > 1 {
-        let bytes = map_or_read(path).map_err(|e| format!("read {path}: {e}"))?;
-        RecordStream::spawn_bytes(bytes, opts)
+/// Opens `path` as a [`RecordStream`] with `opts`. Strict decoding fails
+/// on the first damaged byte; with `salvage` it decodes best-effort
+/// (corrupt blocks skipped where provably safe, the suffix dropped where
+/// not) and the handle carries the damage report. A strict read with the
+/// parallel pool takes the file whole for zero-copy payload handoff; the
+/// rest stream from the file.
+fn open_log_stream(
+    path: &str,
+    opts: DecodeOpts,
+    salvage: bool,
+) -> Result<(RecordStream, Option<SalvageHandle>), CliError> {
+    let opened = if !salvage && opts.threads > 1 {
+        map_or_read(path)
+            .and_then(|bytes| RecordStream::spawn_bytes(bytes, opts))
+            .map(|stream| (stream, None))
     } else {
-        let file = File::open(path)
-            .map_err(|e| format!("cannot open {path}: {e}"))?;
-        RecordStream::spawn_with(file, opts)
+        let file = File::open(path).map_err(CliError::io("cannot open", path))?;
+        if salvage {
+            RecordStream::spawn_salvage_with(file, opts).map(|(stream, h)| (stream, Some(h)))
+        } else {
+            RecordStream::spawn_with(file, opts).map(|stream| (stream, None))
+        }
     };
-    stream.map_err(|e| format!("read {path}: {e}"))
+    Ok(opened.map_err(|e| format!("read {path}: {e}"))?)
 }
 
 /// Writes a materialized log to `path` in the requested format, returning
@@ -480,7 +490,7 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
                     (summary, out.stats, out.overhead, written)
                 }
             };
-            let blocks = spawn_log_stream(path, decode_opts)?;
+            let (blocks, _) = open_log_stream(path, decode_opts, false)?;
             let report = detect_stream(blocks, summary.non_stack_accesses, &cfg.detect_config())
                 .map_err(|e| format!("read {path}: {e}"))?;
             let note = format!("wrote {written} records to {path} ({format} format, streamed)");
@@ -735,17 +745,8 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
     // An error below exits without writing the trace, so the span needs no
     // balancing on the failure paths.
     literace::telemetry::trace_begin("phase.detect");
-    // Strict decoding fails on the first damaged byte; salvage decodes
-    // best-effort (corrupt blocks skipped where provably safe, the suffix
-    // dropped where not) and detection runs on what survived.
-    let (blocks, salvage_handle) = if flags.is_set("salvage") {
-        let file = File::open(path).map_err(CliError::io("cannot open", path))?;
-        let (blocks, handle) = RecordStream::spawn_salvage_with(file, decode_opts)
-            .map_err(|e| format!("read {path}: {e}"))?;
-        (blocks, Some(handle))
-    } else {
-        (spawn_log_stream(path, decode_opts)?, None)
-    };
+    let (blocks, salvage_handle) =
+        open_log_stream(path, decode_opts, flags.is_set("salvage"))?;
     let heading = format!(
         "{} log (streamed{})",
         blocks.format(),
@@ -920,7 +921,10 @@ fn explain_inner(args: &[String]) -> Result<(), CliError> {
     };
     let mut det = HbDetector::new();
     det.enable_provenance();
-    det.process_log(&log);
+    for record in &log {
+        det.process_checked(record)
+            .map_err(|e| format!("{heading}: {e}"))?;
+    }
     let (report, provenance) = det.finish_full(non_stack);
     let provenance = provenance.expect("provenance was enabled");
     println!(
@@ -1108,49 +1112,14 @@ fn log_stats_inner(args: &[String]) -> Result<(), CliError> {
     let on_disk = std::fs::metadata(path)
         .map_err(CliError::io("cannot open", path))?
         .len();
-    let file = File::open(path).map_err(CliError::io("cannot open", path))?;
-    let (format, seal, log, salvage_note) = if flags.is_set("salvage") {
-        if decode_opts.threads > 1 {
-            // Same pool as detect --salvage: the in-order consumer applies
-            // the sequential salvage rules, so the report is identical.
-            let (blocks, handle) =
-                RecordStream::spawn_salvage_with(file, decode_opts)
-                    .map_err(|e| format!("read {path}: {e}"))?;
-            let mut log = EventLog::new();
-            for block in blocks {
-                log.extend(block.map_err(|e| format!("read {path}: {e}"))?);
-            }
-            let sreport = handle.report();
-            let format = sreport
-                .format
-                .map_or_else(|| "unknown".to_owned(), |f| f.to_string());
-            (format, sreport.seal, log, Some(sreport.to_string()))
-        } else {
-            let (log, sreport) = read_log_salvage(file);
-            let format = sreport
-                .format
-                .map_or_else(|| "unknown".to_owned(), |f| f.to_string());
-            (format, sreport.seal, log, Some(sreport.to_string()))
-        }
-    } else if decode_opts.threads > 1 {
-        drop(file);
-        let mut blocks = spawn_log_stream(path, decode_opts)?;
-        let format = blocks.format();
-        let mut log = EventLog::new();
-        for block in blocks.by_ref() {
-            log.extend(block.map_err(|e| format!("read {path}: {e}"))?);
-        }
-        (format.to_string(), blocks.seal_state(), log, None)
-    } else {
-        let mut blocks =
-            RecordBlocks::open(file).map_err(|e| format!("read {path}: {e}"))?;
-        let format = blocks.format();
-        let mut log = EventLog::new();
-        for block in blocks.by_ref() {
-            log.extend(block.map_err(|e| format!("read {path}: {e}"))?);
-        }
-        (format.to_string(), blocks.seal_state(), log, None)
-    };
+    let (mut blocks, salvage) = open_log_stream(path, decode_opts, flags.is_set("salvage"))?;
+    let format = blocks.format();
+    let mut log = EventLog::new();
+    for block in blocks.by_ref() {
+        log.extend(block.map_err(|e| format!("read {path}: {e}"))?);
+    }
+    let seal = blocks.seal_state();
+    let salvage_note = salvage.map(|h| h.report().to_string());
     let stats = LogStats::of(&log);
     let per_thread = LogStats::per_thread(&log);
     if literace::telemetry::enabled() {

@@ -291,15 +291,17 @@ fn thread_index_above_the_ceiling_is_a_corrupt_log_not_a_panic() {
     std::fs::create_dir_all(&dir).unwrap();
     let log = dir.join("over.lrlog");
     std::fs::write(&log, &encode_v2(&[record])[..]).unwrap();
-    let out = literace()
-        .args(["detect", "--log", log.to_str().unwrap()])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("corrupt log"), "{stderr}");
-    assert!(stderr.contains("ceiling"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    for command in ["detect", "explain"] {
+        let out = literace()
+            .args([command, "--log", log.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command} stderr: {stderr}");
+        assert!(stderr.contains("corrupt log"), "{command}: {stderr}");
+        assert!(stderr.contains("ceiling"), "{command}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

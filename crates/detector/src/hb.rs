@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use literace_log::{EventLog, LogResult, Record};
+use literace_log::{EventLog, LogError, LogResult, Record};
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 
 use crate::epoch::{check_thread_index, TidCeilingExceeded};
@@ -623,12 +623,35 @@ impl HbDetector {
     ///
     /// Panics when the record registers a thread above
     /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX), which only a corrupt
-    /// log can do; [`detect_stream`](crate::detect_stream) reports that as
-    /// a typed error instead.
+    /// log can do; [`process_checked`](HbDetector::process_checked) reports
+    /// that as a typed error instead.
     #[inline(always)]
     pub fn process(&mut self, record: &Record) {
         if let Err(e) = self.try_process(record) {
             panic!("{e}");
+        }
+    }
+
+    /// [`process`](HbDetector::process) for a record read from disk: a
+    /// record naming a thread above
+    /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX) is the same
+    /// [`LogError::Corrupt`] that [`detect_stream`](crate::detect_stream)
+    /// returns, instead of a panic, and is not counted.
+    ///
+    /// # Errors
+    ///
+    /// [`LogError::Corrupt`] naming the offending record.
+    #[inline(always)]
+    pub fn process_checked(&mut self, record: &Record) -> LogResult<()> {
+        self.try_process(record).map_err(|e| self.ceiling_error(e))
+    }
+
+    /// The error for a record that registers a thread above the ceiling,
+    /// kept out of line so the per-record path stays small.
+    #[cold]
+    fn ceiling_error(&self, e: TidCeilingExceeded) -> LogError {
+        LogError::Corrupt {
+            reason: format!("record {}: {e}", self.records_processed),
         }
     }
 

@@ -16,10 +16,11 @@
 //!
 //! A log that names a thread index above
 //! [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX) is rejected with
-//! [`LogError::Corrupt`] when that thread is first registered; the check
-//! sits on the detector's thread-registration path, not on every record.
+//! [`LogError::Corrupt`](literace_log::LogError::Corrupt) when that thread
+//! is first registered; the check sits on the detector's
+//! thread-registration path, not on every record.
 
-use literace_log::{LogError, LogResult, Record};
+use literace_log::{LogResult, Record};
 
 use crate::checkpoint::Checkpoint;
 use crate::hb::{HbConfig, HbDetector};
@@ -35,18 +36,19 @@ pub type CheckpointSink<'a> = dyn FnMut(&Checkpoint) -> std::io::Result<()> + 'a
 /// # Errors
 ///
 /// The first decode/I-O error the stream yields, or
-/// [`LogError::Corrupt`] for a record whose thread index exceeds
-/// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX).
+/// [`LogError::Corrupt`](literace_log::LogError::Corrupt) for a record
+/// whose thread index exceeds [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX).
 ///
 /// # Examples
 ///
 /// ```
 /// use literace_detector::{detect, detect_stream, HbConfig};
-/// use literace_log::{encode_v2, EventLog, RecordStream};
+/// use literace_log::{encode_v2, DecodeOpts, EventLog, RecordStream};
 ///
 /// let log = EventLog::new();
 /// let bytes = encode_v2(log.records()).to_vec();
-/// let stream = RecordStream::spawn(std::io::Cursor::new(bytes), 8)?;
+/// let opts = DecodeOpts::sequential().depth(8);
+/// let stream = RecordStream::spawn_with(std::io::Cursor::new(bytes), opts)?;
 /// let report = detect_stream(stream, 0, &HbConfig::default())?;
 /// assert_eq!(report, detect(&log, 0));
 /// # Ok::<(), literace_log::LogError>(())
@@ -102,11 +104,7 @@ where
     let mut sealed_at = None;
     for block in blocks {
         for record in block?.as_ref() {
-            if let Err(e) = detector.try_process(record) {
-                return Err(LogError::Corrupt {
-                    reason: format!("record {}: {e}", detector.records_processed()),
-                });
-            }
+            detector.process_checked(record)?;
         }
         blocks_seen += 1;
         if let Some(save) = on_checkpoint.as_mut() {
@@ -128,7 +126,9 @@ where
 mod tests {
     use super::*;
     use crate::detect;
-    use literace_log::{encode_v2, EventLog, RecordBlocks, RecordStream, SamplerMask};
+    use literace_log::{
+        encode_v2, DecodeOpts, EventLog, LogError, RecordBlocks, RecordStream, SamplerMask,
+    };
     use literace_sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
 
     fn t(i: usize) -> ThreadId {
@@ -234,7 +234,8 @@ mod tests {
     fn consumes_a_record_stream_end_to_end() {
         let log = mixed_log();
         let bytes = encode_v2(log.records()).to_vec();
-        let stream = RecordStream::spawn(std::io::Cursor::new(bytes), 8).unwrap();
+        let opts = DecodeOpts::sequential().depth(8);
+        let stream = RecordStream::spawn_with(std::io::Cursor::new(bytes), opts).unwrap();
         let report = detect_stream(stream, 77, &HbConfig::default()).unwrap();
         assert_eq!(report, detect(&log, 77));
     }
@@ -244,7 +245,8 @@ mod tests {
         let log = mixed_log();
         let mut bytes = encode_v2(log.records()).to_vec();
         bytes.truncate(bytes.len() / 2); // mid-block truncation
-        let stream = RecordStream::spawn(std::io::Cursor::new(bytes), 8).unwrap();
+        let opts = DecodeOpts::sequential().depth(8);
+        let stream = RecordStream::spawn_with(std::io::Cursor::new(bytes), opts).unwrap();
         let err = detect_stream(stream, 0, &HbConfig::default()).unwrap_err();
         assert!(err.to_string().contains("corrupt"), "{err}");
     }

@@ -31,13 +31,13 @@
 //!   per-thread delta state (which resets at block boundaries, so blocks
 //!   encode as independently as they decode), `head_sum`/`payload_sum`
 //!   checksums, and 24-byte frame assembly.
-//! * The **committer** restores sequence order with a reorder buffer and
-//!   owns everything that is inherently sequential: the 5-byte file
-//!   header, the running whole-file checksum, and the sealing footer —
-//!   written only when [`finish`](PipelinedSink::finish) was called, so
-//!   a dropped sink leaves a classifiably
-//!   [`Unsealed`](crate::SealState::Unsealed) log exactly like the
-//!   inline writer.
+//! * The **committer** restores sequence order with the decode pool's
+//!   reorder buffer ([`Reorder`]) and owns everything that is inherently
+//!   sequential: the 5-byte file header, the running whole-file checksum,
+//!   and the sealing footer — written only when
+//!   [`finish`](PipelinedSink::finish) was called, so a dropped sink
+//!   leaves a classifiably [`Unsealed`](crate::SealState::Unsealed) log
+//!   exactly like the inline writer.
 //!
 //! The emitted stream is rev-conformant v2 — decodable by the strict,
 //! salvage and pooled readers alike. Block *boundaries* differ from the
@@ -57,6 +57,7 @@ use bytes::BytesMut;
 
 use crate::checksum::Checksum;
 use crate::error::{LogError, LogResult};
+use crate::parallel::Reorder;
 use crate::record::Record;
 use crate::stream::{auto_stream_depth, panic_message, DEFAULT_STREAM_DEPTH};
 use crate::v2::{encode_block_rev, make_footer, rev_supported, FRAME_BYTES, V2_MAGIC, V2_VERSION};
@@ -226,12 +227,10 @@ impl<W: Write> Committer<W> {
         let mut file_sum = Checksum::new();
         let mut total_records = 0u64;
         let mut header_written = false;
-        let mut pending: std::collections::BTreeMap<u64, Sealed> = std::collections::BTreeMap::new();
-        let mut next = 0u64;
+        let mut reorder = Reorder::new();
         while let Ok(sealed) = results.recv() {
-            pending.insert(sealed.seq, sealed);
-            while let Some(sealed) = pending.remove(&next) {
-                next += 1;
+            reorder.insert(sealed.seq, sealed);
+            while let Some(sealed) = reorder.pop() {
                 self.inflight.fetch_sub(1, Ordering::AcqRel);
                 if error.is_some() {
                     continue; // drain without writing; first error wins
@@ -274,7 +273,7 @@ impl<W: Write> Committer<W> {
         if let Some(e) = error {
             return Err(e);
         }
-        if next < self.issued.load(Ordering::Acquire) || !pending.is_empty() {
+        if !reorder.complete(self.issued.load(Ordering::Acquire)) {
             return Err(LogError::corrupt("encode worker dropped a block"));
         }
         if !self.finish_requested.load(Ordering::Acquire) {

@@ -6,22 +6,34 @@
 //! * [`LogFormat`] detection from the first bytes (v1 logs start with a
 //!   record tag in `1..=4`, v2 with the [`V2_MAGIC`] header);
 //! * [`RecordBlocks`], a synchronous iterator of decoded record blocks
-//!   over either format (v1 records are re-batched into fixed-size
-//!   blocks, v2 blocks come straight from the wire);
+//!   over either format, strict or salvage: v1 records are re-batched
+//!   into fixed-size blocks by one batching loop, v2 blocks come from the
+//!   one v2 reader of [`crate::parallel`] (frame walk and rule set) run
+//!   inline;
 //! * [`RecordStream`], the same blocks pulled through a **bounded
-//!   channel** from a decoder thread, so decoding overlaps whatever the
+//!   channel** from decoder threads, so decoding overlaps whatever the
 //!   consumer does with the blocks (detection — see
-//!   `literace_detector::detect_stream`).
+//!   `literace_detector::detect_stream`). One decode thread runs the
+//!   inline reader; two or more spread the same reader over a worker
+//!   pool. Either way the stream, its errors and its footer verdict are
+//!   the same.
 //!
 //! [`V2_MAGIC`]: crate::v2::V2_MAGIC
 
 use std::io::Read;
+use std::path::Path;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
+
+use bytes::Bytes;
 
 use crate::error::{LogError, LogResult};
-use crate::io::{LogReader, DEFAULT_CHUNK_BYTES};
+use crate::io::{ChunkedRecords, LogReader, DEFAULT_CHUNK_BYTES};
+use crate::parallel::{BlockReader, BytesSource, Mode, ReaderSource};
 use crate::record::{EventLog, Record};
-use crate::v2::{V2Blocks, V2_MAGIC, V2_VERSION};
+use crate::retry::{RetryPolicy, RetryReader};
+use crate::salvage::SalvageHandle;
+use crate::v2::{SealState, V2_MAGIC, V2_VERSION};
 
 /// Number of records per re-batched block when streaming a v1 log.
 pub const V1_BLOCK_RECORDS: usize = 4096;
@@ -50,10 +62,10 @@ pub fn auto_stream_depth(decode_threads: usize, detect_threads: usize) -> usize 
 /// deep the bounded handoff channels are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeOpts {
-    /// Decode worker threads. `1` keeps the single-decoder-thread layout;
-    /// `2+` enables the parallel out-of-order block pool for v2 logs (v1
-    /// logs always decode sequentially — the fixed-width stream has no
-    /// block framing to parallelize over).
+    /// Decode worker threads. `1` decodes v2 blocks inline on a single
+    /// decoder thread; `2+` spreads them over the out-of-order block pool
+    /// (v1 logs always decode on one thread — the fixed-width stream has
+    /// no block framing to parallelize over).
     pub threads: usize,
     /// Bound, in blocks, of each handoff channel.
     pub depth: usize,
@@ -135,8 +147,8 @@ impl std::fmt::Display for LogFormat {
 /// A source with **zero bytes** is classified as a valid, empty v1 log —
 /// v1 has no header, so "no records" is a legal encoding. Every entry
 /// point built on this sniff ([`read_log_auto`], [`RecordBlocks::open`],
-/// [`RecordStream::spawn`]) therefore treats empty input as an empty log,
-/// never as an error.
+/// [`RecordStream::spawn_with`]) therefore treats empty input as an empty
+/// log, never as an error.
 ///
 /// # Errors
 ///
@@ -144,17 +156,9 @@ impl std::fmt::Display for LogFormat {
 /// unknown version byte and [`LogError::Io`] on read failure. A stream
 /// that merely *starts like* the magic but diverges is treated as v1 and
 /// left for the v1 decoder to judge.
-pub(crate) fn sniff_format(source: &mut impl Read) -> LogResult<(LogFormat, Vec<u8>, u8)> {
+fn sniff_format(source: &mut impl Read) -> LogResult<(LogFormat, Vec<u8>, u8)> {
     let mut head = [0u8; 5];
-    let mut filled = 0;
-    while filled < head.len() {
-        match source.read(&mut head[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(LogError::Io(e)),
-        }
-    }
+    let filled = crate::v2::read_exact_or_eof(source, &mut head)?;
     let head = &head[..filled];
     if filled == 0 {
         // Empty input: a valid empty v1 log by definition.
@@ -178,14 +182,73 @@ pub(crate) fn sniff_format(source: &mut impl Read) -> LogResult<(LogFormat, Vec<
 
 /// A `Read` source with a replayed prefix (the bytes consumed by format
 /// sniffing).
-pub(crate) type Replayed<R> = std::io::Chain<std::io::Cursor<Vec<u8>>, R>;
+type Replayed<R> = std::io::Chain<std::io::Cursor<Vec<u8>>, R>;
+
+/// v1 records re-batched into blocks of [`V1_BLOCK_RECORDS`]: the one v1
+/// batching loop, strict or salvage. v1 has no framing to resync on, so
+/// salvage keeps the clean prefix (a global prefix is always sound) and
+/// drops the rest.
+struct V1Batches<R> {
+    records: ChunkedRecords<R>,
+    mode: Mode,
+}
+
+impl<R: Read> Iterator for V1Batches<R> {
+    type Item = LogResult<Vec<Record>>;
+
+    fn next(&mut self) -> Option<LogResult<Vec<Record>>> {
+        let start = literace_telemetry::enabled().then(std::time::Instant::now);
+        let mut block = Vec::with_capacity(V1_BLOCK_RECORDS);
+        let mut error = None;
+        // `ChunkedRecords` fuses after an error or EOF, so a short block
+        // is always the last one.
+        for r in self.records.by_ref() {
+            match r {
+                Ok(r) => {
+                    block.push(r);
+                    if block.len() >= V1_BLOCK_RECORDS {
+                        break;
+                    }
+                }
+                Err(e) => {
+                    error = Some(e);
+                    break;
+                }
+            }
+        }
+        match &self.mode {
+            Mode::Strict => {
+                if let Some(start) = start {
+                    let m = literace_telemetry::metrics();
+                    m.log_decode_v1_records.add(block.len() as u64);
+                    m.log_decode_v1_ns.add(start.elapsed().as_nanos() as u64);
+                }
+                if let Some(e) = error {
+                    return Some(Err(e));
+                }
+            }
+            Mode::Salvage(report) => {
+                let mut r = report.lock().expect("salvage report poisoned");
+                if let Some(e) = error {
+                    r.note_error(e.to_string());
+                    r.suffix_dropped = true;
+                    r.sync_tainted = true;
+                }
+                if !block.is_empty() {
+                    r.blocks_decoded += 1;
+                    r.records_salvaged += block.len() as u64;
+                }
+            }
+        }
+        (!block.is_empty()).then_some(Ok(block))
+    }
+}
 
 enum Blocks<R: Read> {
-    V1 {
-        records: crate::io::ChunkedRecords<Replayed<R>>,
-        done: bool,
-    },
-    V2(V2Blocks<R>),
+    V1(V1Batches<Replayed<R>>),
+    V2(BlockReader<ReaderSource<R>>),
+    /// Salvage over an unreadable header: nothing to yield.
+    Empty,
 }
 
 /// Synchronous block iterator over either log format.
@@ -211,25 +274,47 @@ impl<R: Read> RecordBlocks<R> {
     ///
     /// Returns [`LogError::UnsupportedVersion`] for an unreadable v2
     /// version and [`LogError::Io`] on read failure.
-    pub fn open(mut source: R) -> LogResult<RecordBlocks<R>> {
-        let (format, replay, rev) =
-            sniff_format(&mut source).inspect_err(crate::error::count_error)?;
-        Ok(match format {
-            LogFormat::V1 => RecordBlocks {
-                inner: Blocks::V1 {
-                    records: LogReader::new(
-                        std::io::Cursor::new(replay).chain(source),
-                    )
+    pub fn open(source: R) -> LogResult<RecordBlocks<R>> {
+        RecordBlocks::open_with(source, Mode::Strict)
+    }
+
+    /// Opens a block iterator under `mode`. A salvage open never fails:
+    /// an unreadable header is recorded in the report (with a best-guess
+    /// format) and the iterator yields nothing.
+    pub(crate) fn open_with(mut source: R, mode: Mode) -> LogResult<RecordBlocks<R>> {
+        let (format, replay, rev) = match (sniff_format(&mut source), &mode) {
+            (Ok(sniffed), _) => sniffed,
+            (Err(e), Mode::Strict) => {
+                crate::error::count_error(&e);
+                return Err(e);
+            }
+            (Err(e), Mode::Salvage(report)) => {
+                let format = match &e {
+                    LogError::UnsupportedVersion { .. } => LogFormat::V2,
+                    _ => LogFormat::V1,
+                };
+                let mut r = report.lock().expect("salvage report poisoned");
+                r.format = Some(format);
+                r.note_error(e.to_string());
+                r.suffix_dropped = true;
+                return Ok(RecordBlocks {
+                    inner: Blocks::Empty,
+                    format,
+                });
+            }
+        };
+        if let Mode::Salvage(report) = &mode {
+            report.lock().expect("salvage report poisoned").format = Some(format);
+        }
+        let inner = match format {
+            LogFormat::V1 => Blocks::V1(V1Batches {
+                records: LogReader::new(std::io::Cursor::new(replay).chain(source))
                     .records(DEFAULT_CHUNK_BYTES),
-                    done: false,
-                },
-                format,
-            },
-            LogFormat::V2 => RecordBlocks {
-                inner: Blocks::V2(V2Blocks::after_header(source, rev)),
-                format,
-            },
-        })
+                mode,
+            }),
+            LogFormat::V2 => Blocks::V2(BlockReader::new(ReaderSource::new(source), rev, mode)),
+        };
+        Ok(RecordBlocks { inner, format })
     }
 
     /// The detected on-disk format.
@@ -239,21 +324,26 @@ impl<R: Read> RecordBlocks<R> {
 
     /// Footer state of the stream: meaningful once iteration has finished,
     /// [`SealState::Unknown`] for v1 logs (which have no footer).
-    pub fn seal_state(&self) -> crate::v2::SealState {
+    pub fn seal_state(&self) -> SealState {
         match &self.inner {
-            Blocks::V1 { .. } => crate::v2::SealState::Unknown,
-            Blocks::V2(blocks) => blocks.seal_state(),
+            Blocks::V2(reader) => reader.seal_state(),
+            Blocks::V1(_) | Blocks::Empty => SealState::Unknown,
         }
     }
+}
 
-    /// Opens a **salvage** iterator over `source`: a best-effort decode
-    /// that never yields an error, skipping corrupt v2 blocks where that
-    /// is provably safe and dropping the suffix where it is not. See
-    /// [`crate::salvage`] for the soundness rule.
-    pub fn open_salvage(
-        source: R,
-    ) -> (crate::salvage::SalvageBlocks<R>, crate::salvage::SalvageHandle) {
-        crate::salvage::open_salvage(source)
+impl<R: Read + Send + 'static> RecordBlocks<R> {
+    /// Moves the iterator behind a [`RecordStream`]: v2 through
+    /// [`BlockReader::spawn`] (inline or pooled per `opts`), v1 on one
+    /// decoder thread.
+    fn spawn(self, opts: DecodeOpts) -> LogResult<RecordStream> {
+        match self.inner {
+            Blocks::V2(reader) => reader.spawn(opts),
+            inner => {
+                let format = self.format;
+                spawn_decoder(RecordBlocks { inner, format }, format, opts.depth, None)
+            }
+        }
     }
 }
 
@@ -262,47 +352,15 @@ impl<R: Read> Iterator for RecordBlocks<R> {
 
     fn next(&mut self) -> Option<LogResult<Vec<Record>>> {
         match &mut self.inner {
-            Blocks::V1 { records, done } => {
-                if *done {
-                    return None;
-                }
-                let start = literace_telemetry::enabled().then(std::time::Instant::now);
-                let finish_batch = |block: &[Record]| {
-                    if let Some(start) = start {
-                        let m = literace_telemetry::metrics();
-                        m.log_decode_v1_records.add(block.len() as u64);
-                        m.log_decode_v1_ns.add(start.elapsed().as_nanos() as u64);
-                    }
-                };
-                let mut block = Vec::with_capacity(V1_BLOCK_RECORDS);
-                for r in records.by_ref() {
-                    match r {
-                        Ok(r) => {
-                            block.push(r);
-                            if block.len() >= V1_BLOCK_RECORDS {
-                                finish_batch(&block);
-                                return Some(Ok(block));
-                            }
-                        }
-                        Err(e) => {
-                            *done = true;
-                            finish_batch(&block);
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                *done = true;
-                if block.is_empty() {
-                    None
-                } else {
-                    finish_batch(&block);
-                    Some(Ok(block))
-                }
-            }
-            Blocks::V2(blocks) => blocks.next(),
+            Blocks::V1(batches) => batches.next(),
+            Blocks::V2(reader) => reader.next(),
+            Blocks::Empty => None,
         }
     }
 }
+
+/// The footer verdict a [`RecordStream`] shares with its decoder.
+type SharedSeal = Arc<Mutex<SealState>>;
 
 /// Decoded blocks pulled through a bounded channel from a decoder thread.
 ///
@@ -312,25 +370,24 @@ impl<R: Read> Iterator for RecordBlocks<R> {
 /// [`LogError::DecoderPanicked`] stream item instead of a hung channel.
 /// Transient I/O errors (`WouldBlock`, `TimedOut`) on the underlying
 /// source are retried with bounded exponential backoff (see
-/// [`RetryPolicy`](crate::retry::RetryPolicy)).
+/// [`RetryPolicy`]).
 #[derive(Debug)]
 pub struct RecordStream {
     receiver: Option<Receiver<LogResult<Vec<Record>>>>,
     handle: Option<std::thread::JoinHandle<()>>,
     format: LogFormat,
-    /// Footer state shared with the parallel pool's consumer (`None` on
-    /// the single-decoder paths, which report [`SealState::Unknown`]).
-    seal: Option<std::sync::Arc<std::sync::Mutex<crate::v2::SealState>>>,
+    /// Footer verdict of a v2 stream (`None` for v1).
+    seal: Option<SharedSeal>,
 }
 
 impl RecordStream {
     /// Assembles a stream from a consuming channel end and the thread that
-    /// feeds it (the parallel decode pool's in-order consumer).
+    /// feeds it.
     pub(crate) fn from_parts(
         receiver: Receiver<LogResult<Vec<Record>>>,
         handle: std::thread::JoinHandle<()>,
         format: LogFormat,
-        seal: Option<std::sync::Arc<std::sync::Mutex<crate::v2::SealState>>>,
+        seal: Option<SharedSeal>,
     ) -> RecordStream {
         RecordStream {
             receiver: Some(receiver),
@@ -340,102 +397,41 @@ impl RecordStream {
         }
     }
 
-    /// Footer state of a v2 stream decoded by the parallel pool:
-    /// meaningful once the stream is exhausted,
-    /// [`SealState::Unknown`](crate::v2::SealState::Unknown) before that
-    /// and on the single-decoder paths.
-    pub fn seal_state(&self) -> crate::v2::SealState {
+    /// Footer state of a v2 stream at any decode thread count: meaningful
+    /// once the stream is exhausted, [`SealState::Unknown`] before that
+    /// and for v1 logs.
+    pub fn seal_state(&self) -> SealState {
         match &self.seal {
             Some(seal) => *seal.lock().expect("seal state poisoned"),
-            None => crate::v2::SealState::Unknown,
+            None => SealState::Unknown,
         }
     }
 
-    /// Spawns a decoder thread over `source` and returns the consuming
-    /// end. `depth` bounds the channel in blocks
-    /// ([`DEFAULT_STREAM_DEPTH`] is a good default).
+    /// Spawns decoding of `source` with explicit [`DecodeOpts`]:
+    /// `threads >= 2` decodes v2 blocks on a parallel worker pool (frame
+    /// scan stays sequential, payloads decode out of order, blocks are
+    /// delivered strictly in order); v1 logs and `threads <= 1` decode on
+    /// one thread. `opts.depth` bounds the channel in blocks.
     ///
     /// # Errors
     ///
     /// Format sniffing happens synchronously, so header errors
     /// ([`LogError::UnsupportedVersion`], I/O) surface here; decode
     /// errors surface as items of the stream.
-    pub fn spawn<R: Read + Send + 'static>(
-        source: R,
-        depth: usize,
-    ) -> LogResult<RecordStream> {
-        let blocks = RecordBlocks::open(crate::retry::RetryReader::new(
-            source,
-            crate::retry::RetryPolicy::default(),
-        ))?;
-        let format = blocks.format();
-        spawn_decoder(blocks, format, depth)
-    }
-
-    /// Spawns a **salvage** decoder thread over `source`: like
-    /// [`spawn`](RecordStream::spawn) but the stream never yields `Err` —
-    /// corrupt regions are skipped or dropped per the soundness rule in
-    /// [`crate::salvage`], and the damage tally is available through the
-    /// returned [`SalvageHandle`](crate::salvage::SalvageHandle) (final
-    /// once the stream is exhausted).
-    ///
-    /// # Errors
-    ///
-    /// Only thread-spawn failure; corrupt headers do not error here.
-    pub fn spawn_salvage<R: Read + Send + 'static>(
-        source: R,
-        depth: usize,
-    ) -> LogResult<(RecordStream, crate::salvage::SalvageHandle)> {
-        let (blocks, salvage) = crate::salvage::open_salvage(crate::retry::RetryReader::new(
-            source,
-            crate::retry::RetryPolicy::default(),
-        ));
-        let format = blocks.format();
-        let stream = spawn_decoder(blocks, format, depth)?;
-        Ok((stream, salvage))
-    }
-
-    /// Like [`spawn`](RecordStream::spawn) with explicit [`DecodeOpts`]:
-    /// `threads >= 2` decodes v2 blocks on a parallel worker pool (frame
-    /// scan stays sequential, payloads decode out of order, blocks are
-    /// delivered strictly in order). v1 logs and `threads <= 1` take the
-    /// single-decoder-thread path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`spawn`](RecordStream::spawn): header errors surface
-    /// here, decode errors surface as stream items.
     pub fn spawn_with<R: Read + Send + 'static>(
         source: R,
         opts: DecodeOpts,
     ) -> LogResult<RecordStream> {
-        if opts.threads <= 1 {
-            return RecordStream::spawn(source, opts.depth);
-        }
-        let mut retry = crate::retry::RetryReader::new(source, crate::retry::RetryPolicy::default());
-        match sniff_format(&mut retry) {
-            Ok((LogFormat::V2, _, rev)) => crate::parallel::spawn_strict(
-                crate::parallel::ReaderSource::new(retry),
-                rev,
-                opts,
-            ),
-            Ok((LogFormat::V1, replay, _)) => {
-                let blocks = RecordBlocks::open(std::io::Cursor::new(replay).chain(retry))?;
-                let format = blocks.format();
-                spawn_decoder(blocks, format, opts.depth)
-            }
-            Err(e) => {
-                crate::error::count_error(&e);
-                Err(e)
-            }
-        }
+        RecordBlocks::open(RetryReader::new(source, RetryPolicy::default()))?.spawn(opts)
     }
 
-    /// Like [`spawn_salvage`](RecordStream::spawn_salvage) with explicit
-    /// [`DecodeOpts`]; the parallel pool applies the exact sequential
-    /// salvage rules from its in-order consumer, so the final
-    /// [`SalvageReport`](crate::salvage::SalvageReport) matches the
-    /// sequential path.
+    /// Spawns **salvage** decoding of `source`: like
+    /// [`spawn_with`](RecordStream::spawn_with) but the stream never
+    /// yields `Err` — corrupt regions are skipped or dropped per the
+    /// soundness rule in [`crate::salvage`], and the damage tally is
+    /// available through the returned [`SalvageHandle`] (final once the
+    /// stream is exhausted). The report is the same at every thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -443,48 +439,21 @@ impl RecordStream {
     pub fn spawn_salvage_with<R: Read + Send + 'static>(
         source: R,
         opts: DecodeOpts,
-    ) -> LogResult<(RecordStream, crate::salvage::SalvageHandle)> {
-        if opts.threads <= 1 {
-            return RecordStream::spawn_salvage(source, opts.depth);
-        }
-        let mut retry = crate::retry::RetryReader::new(source, crate::retry::RetryPolicy::default());
-        match sniff_format(&mut retry) {
-            Ok((LogFormat::V2, _, rev)) => crate::parallel::spawn_salvage(
-                crate::parallel::ReaderSource::new(retry),
-                rev,
-                opts,
-            ),
-            Ok((LogFormat::V1, replay, _)) => {
-                // v1 salvage is inherently sequential (clean-prefix
-                // recovery); replay the sniffed bytes and reuse it.
-                let (blocks, salvage) = crate::salvage::open_salvage(
-                    std::io::Cursor::new(replay).chain(retry),
-                );
-                let format = blocks.format();
-                let stream = spawn_decoder(blocks, format, opts.depth)?;
-                Ok((stream, salvage))
-            }
-            Err(e) => {
-                // Mirror `open_salvage` on an unreadable header: an empty
-                // stream with the failure recorded, never an error.
-                crate::parallel::spawn_salvage_dead(e, opts)
-            }
-        }
+    ) -> LogResult<(RecordStream, SalvageHandle)> {
+        let (blocks, handle) =
+            crate::salvage::open_salvage(RetryReader::new(source, RetryPolicy::default()));
+        Ok((blocks.into_blocks().spawn(opts)?, handle))
     }
 
-    /// Streams a fully materialized (possibly memory-mapped) log without
-    /// copying payload bytes: v2 block payloads are handed to the decode
-    /// pool as zero-copy [`Bytes`](bytes::Bytes) slices of `bytes`. Falls
-    /// back to the reader path for v1 logs or a sequential pool.
+    /// Streams a fully materialized log without copying payload bytes:
+    /// v2 block payloads are zero-copy [`Bytes`] slices of `bytes`, at
+    /// any thread count. v1 logs take the reader path.
     ///
     /// # Errors
     ///
     /// Same as [`spawn_with`](RecordStream::spawn_with).
-    pub fn spawn_bytes(
-        bytes: bytes::Bytes,
-        opts: DecodeOpts,
-    ) -> LogResult<RecordStream> {
-        if opts.threads > 1 && bytes.len() >= 5 && bytes[..4] == V2_MAGIC {
+    pub fn spawn_bytes(bytes: Bytes, opts: DecodeOpts) -> LogResult<RecordStream> {
+        if bytes.len() >= 5 && bytes[..4] == V2_MAGIC {
             if !crate::v2::rev_supported(bytes[4]) {
                 let e = LogError::UnsupportedVersion {
                     found: bytes[4],
@@ -493,12 +462,8 @@ impl RecordStream {
                 crate::error::count_error(&e);
                 return Err(e);
             }
-            let rev = bytes[4];
-            return crate::parallel::spawn_strict(
-                crate::parallel::BytesSource::new(bytes.slice(5..)),
-                rev,
-                opts,
-            );
+            let src = BytesSource::new(bytes.slice(5..));
+            return BlockReader::new(src, bytes[4], Mode::Strict).spawn(opts);
         }
         RecordStream::spawn_with(std::io::Cursor::new(bytes), opts)
     }
@@ -509,13 +474,24 @@ impl RecordStream {
     }
 }
 
-/// An already-finished stream: yields nothing (the parallel salvage path
-/// uses this when even the header was unreadable).
-pub(crate) fn spawn_empty(format: LogFormat, depth: usize) -> LogResult<RecordStream> {
-    spawn_decoder(std::iter::empty(), format, depth)
+/// Reads the whole file at `path` into a [`Bytes`] buffer for
+/// [`RecordStream::spawn_bytes`].
+///
+/// # Errors
+///
+/// Returns [`LogError::Io`] when the file cannot be opened or read.
+pub fn map_or_read(path: impl AsRef<Path>) -> LogResult<Bytes> {
+    std::fs::read(path).map(Bytes::from).map_err(LogError::Io)
 }
 
-fn spawn_decoder<I>(blocks: I, format: LogFormat, depth: usize) -> LogResult<RecordStream>
+/// Runs `blocks` on one decoder thread behind a [`RecordStream`]; `seal`
+/// is the footer verdict the iterator fills in, if it has one.
+pub(crate) fn spawn_decoder<I>(
+    blocks: I,
+    format: LogFormat,
+    depth: usize,
+    seal: Option<SharedSeal>,
+) -> LogResult<RecordStream>
 where
     I: Iterator<Item = LogResult<Vec<Record>>> + Send + 'static,
 {
@@ -537,12 +513,7 @@ where
             }
         })
         .map_err(LogError::Io)?;
-    Ok(RecordStream {
-        receiver: Some(receiver),
-        handle: Some(handle),
-        format,
-        seal: None,
-    })
+    Ok(RecordStream::from_parts(receiver, handle, format, seal))
 }
 
 fn decode_loop<I>(mut blocks: I, sender: SyncSender<LogResult<Vec<Record>>>)
@@ -724,7 +695,7 @@ mod tests {
     #[test]
     fn empty_source_is_an_empty_v1_log_via_record_stream() {
         let mut stream =
-            RecordStream::spawn(std::io::empty(), DEFAULT_STREAM_DEPTH).unwrap();
+            RecordStream::spawn_with(std::io::empty(), DecodeOpts::sequential()).unwrap();
         assert_eq!(stream.format(), LogFormat::V1);
         assert!(stream.next().is_none());
     }
@@ -759,7 +730,7 @@ mod tests {
         for bytes in [encode_all(&records), encode_v2(&records)] {
             let owned: Vec<u8> = bytes.to_vec();
             let stream =
-                RecordStream::spawn(std::io::Cursor::new(owned), DEFAULT_STREAM_DEPTH)
+                RecordStream::spawn_with(std::io::Cursor::new(owned), DecodeOpts::sequential())
                     .unwrap();
             let decoded: Vec<Record> = stream.flat_map(|b| b.unwrap()).collect();
             assert_eq!(decoded, records);
@@ -770,7 +741,8 @@ mod tests {
     fn dropping_stream_midway_does_not_hang() {
         let records = some_records(100_000);
         let bytes: Vec<u8> = encode_v2(&records).to_vec();
-        let mut stream = RecordStream::spawn(std::io::Cursor::new(bytes), 1).unwrap();
+        let opts = DecodeOpts::sequential().depth(1);
+        let mut stream = RecordStream::spawn_with(std::io::Cursor::new(bytes), opts).unwrap();
         let first = stream.next().unwrap().unwrap();
         assert!(!first.is_empty());
         drop(stream); // must not deadlock on the full channel
@@ -806,7 +778,8 @@ mod tests {
             inner: std::io::Cursor::new(bytes),
             dropped: dropped.clone(),
         };
-        let mut stream = RecordStream::spawn(source, 1).unwrap();
+        let opts = DecodeOpts::sequential().depth(1);
+        let mut stream = RecordStream::spawn_with(source, opts).unwrap();
         let first = stream.next().unwrap().unwrap();
         assert!(!first.is_empty());
         drop(stream);
@@ -841,7 +814,7 @@ mod tests {
         let source = PanicAfter {
             prefix: std::io::Cursor::new(bytes[..half].to_vec()),
         };
-        let stream = RecordStream::spawn(source, DEFAULT_STREAM_DEPTH).unwrap();
+        let stream = RecordStream::spawn_with(source, DecodeOpts::sequential()).unwrap();
         let mut saw_panic = false;
         for item in stream {
             if let Err(e) = item {
@@ -862,5 +835,39 @@ mod tests {
         let bytes = encode_v2(&records);
         let log = read_log_auto(&bytes[..]).unwrap();
         assert_eq!(log.records(), &records[..]);
+    }
+
+    fn scratch(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("literace-read-{}-{name}.bin", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn map_or_read_round_trips_a_log() {
+        let records = some_records(5000);
+        let bytes = encode_v2(&records);
+        let path = scratch("roundtrip", &bytes);
+        let buf = map_or_read(&path).unwrap();
+        assert_eq!(&buf[..], &bytes[..]);
+        let stream = RecordStream::spawn_bytes(buf, DecodeOpts::with_threads(4)).unwrap();
+        let decoded: Vec<Record> = stream.flat_map(|b| b.unwrap()).collect();
+        assert_eq!(decoded, records);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn map_or_read_handles_an_empty_file() {
+        let path = scratch("empty", b"");
+        let buf = map_or_read(&path).unwrap();
+        assert!(buf.is_empty());
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn missing_file_is_an_io_error() {
+        let err = map_or_read("/nonexistent/literace-definitely-missing").unwrap_err();
+        assert!(matches!(err, LogError::Io(_)));
     }
 }

@@ -72,6 +72,7 @@ use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 
 use crate::checksum::{checksum32, Checksum};
 use crate::error::{LogError, LogResult};
+use crate::parallel::{BlockReader, Mode, ReaderSource};
 use crate::record::{Record, SamplerMask};
 use crate::varint::{get_delta_slice, get_varint_slice, put_delta, put_varint};
 
@@ -1120,53 +1121,41 @@ impl<W: Write> Drop for LogWriterV2<W> {
 }
 
 /// Iterator over the blocks of a v2 stream **after** the 5-byte header has
-/// been consumed (the auto-detecting opener in [`crate::stream`] does
-/// that). Yields decoded blocks; fuses after the first error.
-#[derive(Debug)]
-pub struct V2Blocks<R> {
-    source: R,
-    /// Payload revision from the version byte.
-    rev: u8,
-    done: bool,
-    /// Reusable payload buffer: one allocation amortized over the stream
-    /// instead of one `vec![0; payload_len]` per block.
-    payload: Vec<u8>,
-    /// Reusable per-block delta state (reset, not reallocated, per block).
-    state: BlockState,
-    /// Running checksum over every consumed frame + payload byte, checked
-    /// against the footer.
-    file_sum: Checksum,
-    /// Records decoded so far, checked against the footer's total.
-    records_seen: u64,
-    seal: SealState,
+/// been consumed (the auto-detecting [`RecordBlocks`](crate::RecordBlocks)
+/// does that): the one v2 reader (`parallel.rs`) run inline. Yields
+/// decoded blocks; fuses after the first error.
+pub struct V2Blocks<R: std::io::Read>(BlockReader<ReaderSource<R>>);
+
+impl<R: std::io::Read> std::fmt::Debug for V2Blocks<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("V2Blocks")
+            .field("revision", &self.revision())
+            .field("seal", &self.seal_state())
+            .finish_non_exhaustive()
+    }
 }
 
 impl<R: std::io::Read> V2Blocks<R> {
     /// Creates a block iterator over a source positioned at the first
     /// block (header already consumed), decoding payload revision `rev`.
     pub fn after_header(source: R, rev: u8) -> V2Blocks<R> {
-        V2Blocks {
-            source,
+        V2Blocks(BlockReader::new(
+            ReaderSource::new(source),
             rev,
-            done: false,
-            payload: Vec::new(),
-            state: BlockState::default(),
-            file_sum: Checksum::new(),
-            records_seen: 0,
-            seal: SealState::Unknown,
-        }
+            Mode::Strict,
+        ))
     }
 
     /// The payload revision this iterator decodes.
     pub fn revision(&self) -> u8 {
-        self.rev
+        self.0.revision()
     }
 
     /// Whether the stream carried a verified finalization footer. Remains
     /// [`SealState::Unknown`] until the iterator has been driven to its
     /// end (or to an error).
     pub fn seal_state(&self) -> SealState {
-        self.seal
+        self.0.seal_state()
     }
 
     /// Opens a stream that must be a v2 log: reads and validates the
@@ -1204,69 +1193,6 @@ impl<R: std::io::Read> V2Blocks<R> {
         }
         Ok(header[4])
     }
-
-    fn read_block(&mut self) -> LogResult<Option<Vec<Record>>> {
-        let start = literace_telemetry::enabled().then(std::time::Instant::now);
-        let mut frame = [0u8; FRAME_BYTES];
-        match read_exact_or_eof(&mut self.source, &mut frame)? {
-            0 => {
-                self.seal = SealState::Unsealed;
-                return Ok(None);
-            }
-            FRAME_BYTES => {}
-            n => {
-                return Err(LogError::corrupt(format!(
-                    "truncated block header: {n} of {FRAME_BYTES} bytes"
-                )))
-            }
-        }
-        let head = match parse_frame(&frame)? {
-            Frame::Footer(foot) => {
-                if foot.total_records != self.records_seen {
-                    return Err(LogError::corrupt(format!(
-                        "footer record count mismatch: footer says {}, decoded {}",
-                        foot.total_records, self.records_seen
-                    )));
-                }
-                if foot.file_sum != self.file_sum.finish() {
-                    return Err(LogError::corrupt("footer stream checksum mismatch"));
-                }
-                let mut trailing = [0u8; 1];
-                if read_exact_or_eof(&mut self.source, &mut trailing)? != 0 {
-                    return Err(LogError::corrupt("trailing bytes after footer"));
-                }
-                self.seal = SealState::Sealed;
-                return Ok(None);
-            }
-            Frame::Block(head) => head,
-        };
-        self.payload.clear();
-        self.payload.resize(head.payload_len as usize, 0);
-        let got = read_exact_or_eof(&mut self.source, &mut self.payload)?;
-        if got != self.payload.len() {
-            return Err(LogError::corrupt(format!(
-                "truncated block: {got} of {} payload bytes",
-                head.payload_len
-            )));
-        }
-        if crate::checksum::checksum(&self.payload) != head.payload_sum {
-            return Err(LogError::corrupt("block payload checksum mismatch"));
-        }
-        let block =
-            decode_block_with(&mut self.state, &self.payload, head.record_count, self.rev)?;
-        self.file_sum.update(&frame);
-        self.file_sum.update(&self.payload);
-        self.records_seen += u64::from(head.record_count);
-        if let Some(start) = start {
-            let m = literace_telemetry::metrics();
-            m.log_decode_v2_blocks.add(1);
-            m.log_decode_v2_bytes
-                .add((FRAME_BYTES as u32 + head.payload_len) as u64);
-            m.log_decode_v2_records.add(u64::from(head.record_count));
-            m.log_decode_v2_ns.add(start.elapsed().as_nanos() as u64);
-        }
-        Ok(Some(block))
-    }
 }
 
 /// Fills `buf` as far as the source allows; returns bytes read (short only
@@ -1291,21 +1217,7 @@ impl<R: std::io::Read> Iterator for V2Blocks<R> {
     type Item = LogResult<Vec<Record>>;
 
     fn next(&mut self) -> Option<LogResult<Vec<Record>>> {
-        if self.done {
-            return None;
-        }
-        match self.read_block() {
-            Ok(Some(block)) => Some(Ok(block)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                crate::error::count_error(&e);
-                Some(Err(e))
-            }
-        }
+        self.0.next()
     }
 }
 

@@ -187,7 +187,8 @@ fn transient_errors_are_absorbed_by_the_retrying_stream() {
         ..FaultPlan::default()
     };
     let reader = FaultyReader::new(std::io::Cursor::new(bytes.clone()), plan.clone(), 17);
-    let stream = RecordStream::spawn(reader, 4).unwrap();
+    let stream =
+        RecordStream::spawn_with(reader, DecodeOpts::sequential().depth(4)).unwrap();
     let mut out = Vec::new();
     for block in stream {
         out.extend(block.expect("bounded retry must absorb budgeted transients"));

@@ -13,7 +13,7 @@
 use literace::detector::{detect, detect_stream, HbConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{
-    read_log_salvage, EventLog, FaultPlan, FaultyReader, LogWriterV2, RecordStream,
+    read_log_salvage, DecodeOpts, EventLog, FaultPlan, FaultyReader, LogWriterV2, RecordStream,
     SealState, DEFAULT_STREAM_DEPTH,
 };
 use literace::prelude::*;
@@ -99,7 +99,8 @@ proptest! {
         // The streaming salvage path sees the identical faulted byte
         // stream (same plan, same seed) and must agree exactly.
         let reader = FaultyReader::new(std::io::Cursor::new(bytes), plan, seed);
-        let (stream, handle) = RecordStream::spawn_salvage(reader, DEFAULT_STREAM_DEPTH)
+        let opts = DecodeOpts::sequential().depth(DEFAULT_STREAM_DEPTH);
+        let (stream, handle) = RecordStream::spawn_salvage_with(reader, opts)
             .expect("decoder thread spawns");
         let streamed = detect_stream(stream, non_stack, &HbConfig::default())
             .expect("salvage streams never yield Err");

@@ -11,7 +11,8 @@
 use literace::detector::{detect, detect_stream, HbConfig, RaceReport};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{
-    encode_v2, log_to_bytes, EventLog, RecordBlocks, RecordStream, DEFAULT_STREAM_DEPTH,
+    encode_v2, log_to_bytes, DecodeOpts, EventLog, RecordBlocks, RecordStream,
+    DEFAULT_STREAM_DEPTH,
 };
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
@@ -57,7 +58,10 @@ fn assert_stream_identical(log: &EventLog, non_stack: u64, context: &str) {
         assert_eq!(sequential, report, "{context}: stream({name} blocks) diverged");
     }
     // Decoder thread feeding the detector.
-    let stream = RecordStream::spawn(std::io::Cursor::new(v2.to_vec()), DEFAULT_STREAM_DEPTH)
+    let stream = RecordStream::spawn_with(
+        std::io::Cursor::new(v2.to_vec()),
+        DecodeOpts::sequential().depth(DEFAULT_STREAM_DEPTH),
+    )
         .expect("stream opens");
     let report = detect_stream(stream, non_stack, &cfg).expect("stream decodes");
     assert_eq!(sequential, report, "{context}: stream(RecordStream) diverged");
