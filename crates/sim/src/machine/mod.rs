@@ -74,17 +74,15 @@ pub struct Machine<'p> {
     prog: &'p CompiledProgram,
     cfg: MachineConfig,
     threads: Vec<ThreadState>,
-    /// Parent and started-flag per thread (parallel to `threads`).
-    meta: Vec<ThreadMeta>,
+    /// The runnable threads' ids, ascending — the set the scheduler picks
+    /// from. Valid while `runnable_stale` is false.
+    runnable: Vec<ThreadId>,
+    /// Set by [`Machine::set_status`]; `run` rebuilds `runnable` before its
+    /// next pick.
+    runnable_stale: bool,
     syncs: Vec<SyncState>,
     heap: Heap,
     summary: RunSummary,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ThreadMeta {
-    parent: Option<ThreadId>,
-    started: bool,
 }
 
 impl<'p> Machine<'p> {
@@ -92,27 +90,24 @@ impl<'p> Machine<'p> {
     pub fn new(prog: &'p CompiledProgram, cfg: MachineConfig) -> Machine<'p> {
         let entry = prog.entry;
         let locals = prog.function(entry).locals;
-        let main = ThreadState::new(ThreadId::MAIN, entry, locals, 0);
+        let main = ThreadState::new(ThreadId::MAIN, None, entry, locals, 0);
         let syncs = prog
             .syncs
             .iter()
             .map(|d| SyncState::new(d.kind))
             .collect();
-        let mut summary = RunSummary {
+        let summary = RunSummary {
             per_func_entries: vec![0; prog.functions.len()],
             per_thread_cost: vec![0],
             threads: 1,
             ..RunSummary::default()
         };
-        summary.per_func_entries.iter_mut().for_each(|c| *c = 0);
         Machine {
             prog,
             cfg,
             threads: vec![main],
-            meta: vec![ThreadMeta {
-                parent: None,
-                started: false,
-            }],
+            runnable: Vec::new(),
+            runnable_stale: true,
             syncs,
             heap: Heap::new(),
             summary,
@@ -132,25 +127,19 @@ impl<'p> Machine<'p> {
         sched: &mut S,
         obs: &mut O,
     ) -> SimResult<RunSummary> {
-        let mut runnable: Vec<ThreadId> = Vec::new();
         loop {
-            runnable.clear();
-            let mut any_live = false;
-            for t in &self.threads {
-                match t.status {
-                    ThreadStatus::Runnable => {
-                        runnable.push(t.tid);
-                        any_live = true;
-                    }
-                    ThreadStatus::Blocked(_) => any_live = true,
-                    ThreadStatus::Exited => {}
-                }
+            if self.runnable_stale {
+                self.runnable_stale = false;
+                self.runnable.clear();
+                self.runnable.extend(runnable_ids(&self.threads));
             }
-            if runnable.is_empty() {
-                if !any_live {
-                    return Ok(std::mem::take(&mut self.summary));
-                }
-                let blocked = self
+            debug_assert!(
+                self.runnable.iter().copied().eq(runnable_ids(&self.threads)),
+                "cached runnable set {:?} diverged from a fresh scan",
+                self.runnable
+            );
+            if self.runnable.is_empty() {
+                let blocked: Vec<_> = self
                     .threads
                     .iter()
                     .filter_map(|t| match t.status {
@@ -158,6 +147,9 @@ impl<'p> Machine<'p> {
                         _ => None,
                     })
                     .collect();
+                if blocked.is_empty() {
+                    return Ok(std::mem::take(&mut self.summary));
+                }
                 return Err(SimError::Deadlock { blocked });
             }
             if self.summary.steps >= self.cfg.step_limit {
@@ -165,24 +157,28 @@ impl<'p> Machine<'p> {
                     limit: self.cfg.step_limit,
                 });
             }
-            let tid = runnable[sched.pick(&runnable)];
+            let tid = self.runnable[sched.pick(&self.runnable)];
             self.summary.steps += 1;
             self.step(tid, obs)?;
         }
     }
 
+    /// Sets a thread's status. Every status change goes through here, so
+    /// the cached runnable set is rebuilt exactly when it may have changed.
+    fn set_status(&mut self, tid: ThreadId, status: ThreadStatus) {
+        self.threads[tid.index()].status = status;
+        self.runnable_stale = true;
+    }
+
     /// Executes one instruction of thread `tid`, which must be runnable.
     fn step<O: Observer>(&mut self, tid: ThreadId, obs: &mut O) -> SimResult<()> {
         let ti = tid.index();
-        if !self.meta[ti].started {
-            self.meta[ti].started = true;
+        if !self.threads[ti].started {
+            self.threads[ti].started = true;
+            let parent = self.threads[ti].parent;
             let func = self.threads[ti].frame().func;
-            obs.on_event(&Event::ThreadStart {
-                tid,
-                parent: self.meta[ti].parent,
-                func,
-            });
-            if self.meta[ti].parent.is_some() {
+            obs.on_event(&Event::ThreadStart { tid, parent, func });
+            if parent.is_some() {
                 self.emit_sync(obs, tid, Pc::new(func, 0), SyncOpKind::ThreadStart, thread_var(tid));
             }
             self.summary.func_entries += 1;
@@ -240,8 +236,7 @@ impl<'p> Machine<'p> {
                     }
                     Some(_) => {
                         st.waiters.push(tid);
-                        self.threads[ti].status =
-                            ThreadStatus::Blocked(BlockReason::Mutex(sid));
+                        self.set_status(tid, ThreadStatus::Blocked(BlockReason::Mutex(sid)));
                     }
                 }
             }
@@ -268,7 +263,7 @@ impl<'p> Machine<'p> {
                     self.advance(tid);
                 } else {
                     st.waiters.push(tid);
-                    self.threads[ti].status = ThreadStatus::Blocked(BlockReason::Event(sid));
+                    self.set_status(tid, ThreadStatus::Blocked(BlockReason::Event(sid)));
                 }
             }
             Instr::Notify(s) => {
@@ -299,8 +294,7 @@ impl<'p> Machine<'p> {
                     self.advance(tid);
                 } else {
                     st.waiters.push(tid);
-                    self.threads[ti].status =
-                        ThreadStatus::Blocked(BlockReason::Semaphore(sid));
+                    self.set_status(tid, ThreadStatus::Blocked(BlockReason::Semaphore(sid)));
                 }
             }
             Instr::SemRelease(s) => {
@@ -353,8 +347,7 @@ impl<'p> Machine<'p> {
                         self.advance(tid);
                     } else {
                         st.waiters.push(tid);
-                        self.threads[ti].status =
-                            ThreadStatus::Blocked(BlockReason::Barrier(sid));
+                        self.set_status(tid, ThreadStatus::Blocked(BlockReason::Barrier(sid)));
                     }
                 }
             }
@@ -393,11 +386,10 @@ impl<'p> Machine<'p> {
                 let child = ThreadId::from_index(self.threads.len());
                 let arg = self.eval(tid, arg);
                 let locals = self.prog.function(func).locals;
-                self.threads.push(ThreadState::new(child, func, locals, arg));
-                self.meta.push(ThreadMeta {
-                    parent: Some(tid),
-                    started: false,
-                });
+                self.threads
+                    .push(ThreadState::new(child, Some(tid), func, locals, arg));
+                // Born runnable; announced like any other status change.
+                self.set_status(child, ThreadStatus::Runnable);
                 self.summary.per_thread_cost.push(0);
                 self.summary.threads += 1;
                 if let Some(dst) = dst {
@@ -419,8 +411,7 @@ impl<'p> Machine<'p> {
                     self.emit_sync(obs, tid, pc, SyncOpKind::Join, thread_var(target_tid));
                     self.advance(tid);
                 } else {
-                    self.threads[ti].status =
-                        ThreadStatus::Blocked(BlockReason::Join(target_tid));
+                    self.set_status(tid, ThreadStatus::Blocked(BlockReason::Join(target_tid)));
                 }
             }
             Instr::Call { func, arg } => {
@@ -489,7 +480,7 @@ impl<'p> Machine<'p> {
                 obs.on_event(&Event::FunctionExit { tid, func });
                 self.threads[ti].frames.pop();
                 if self.threads[ti].frames.is_empty() {
-                    self.threads[ti].status = ThreadStatus::Exited;
+                    self.set_status(tid, ThreadStatus::Exited);
                     self.emit_sync(
                         obs,
                         tid,
@@ -525,7 +516,7 @@ impl<'p> Machine<'p> {
 
     fn wake(&mut self, tids: &[ThreadId]) {
         for &t in tids {
-            self.threads[t.index()].status = ThreadStatus::Runnable;
+            self.set_status(t, ThreadStatus::Runnable);
         }
     }
 
@@ -604,6 +595,11 @@ impl<'p> Machine<'p> {
             }
         }
     }
+}
+
+/// The runnable threads' ids in ascending order, from a full scan.
+fn runnable_ids(threads: &[ThreadState]) -> impl Iterator<Item = ThreadId> + '_ {
+    threads.iter().filter(|t| t.is_runnable()).map(|t| t.tid)
 }
 
 /// The `SyncVar` for fork/join edges: the child thread id (Table 1).

@@ -87,6 +87,11 @@ impl Frame {
 pub struct ThreadState {
     /// This thread's id.
     pub tid: ThreadId,
+    /// The spawning thread (`None` for the main thread).
+    pub parent: Option<ThreadId>,
+    /// Whether the thread has taken its first step (and emitted its start
+    /// events).
+    pub started: bool,
     /// Scheduling status.
     pub status: ThreadStatus,
     /// Call stack, innermost frame last. Empty once exited.
@@ -94,10 +99,18 @@ pub struct ThreadState {
 }
 
 impl ThreadState {
-    /// Creates a thread about to run `func(arg)`.
-    pub fn new(tid: ThreadId, func: FuncId, locals: u16, arg: u64) -> ThreadState {
+    /// Creates a thread, spawned by `parent`, about to run `func(arg)`.
+    pub fn new(
+        tid: ThreadId,
+        parent: Option<ThreadId>,
+        func: FuncId,
+        locals: u16,
+        arg: u64,
+    ) -> ThreadState {
         ThreadState {
             tid,
+            parent,
+            started: false,
             status: ThreadStatus::Runnable,
             frames: vec![Frame::new(func, locals, arg)],
         }
@@ -156,7 +169,7 @@ mod tests {
 
     #[test]
     fn stack_addresses_differ_by_frame_depth() {
-        let mut t = ThreadState::new(ThreadId::MAIN, FuncId::from_index(0), 1, 0);
+        let mut t = ThreadState::new(ThreadId::MAIN, None, FuncId::from_index(0), 1, 0);
         let outer = t.stack_addr(0);
         t.frames.push(Frame::new(FuncId::from_index(1), 1, 0));
         let inner = t.stack_addr(0);
@@ -166,14 +179,14 @@ mod tests {
 
     #[test]
     fn stack_addresses_differ_by_thread() {
-        let a = ThreadState::new(ThreadId::from_index(0), FuncId::from_index(0), 1, 0);
-        let b = ThreadState::new(ThreadId::from_index(1), FuncId::from_index(0), 1, 0);
+        let a = ThreadState::new(ThreadId::from_index(0), None, FuncId::from_index(0), 1, 0);
+        let b = ThreadState::new(ThreadId::from_index(1), None, FuncId::from_index(0), 1, 0);
         assert_ne!(a.stack_addr(0), b.stack_addr(0));
     }
 
     #[test]
     fn stack_offsets_wrap_within_frame() {
-        let t = ThreadState::new(ThreadId::MAIN, FuncId::from_index(0), 1, 0);
+        let t = ThreadState::new(ThreadId::MAIN, None, FuncId::from_index(0), 1, 0);
         assert_eq!(t.stack_addr(0), t.stack_addr(FRAME_WORDS));
     }
 }

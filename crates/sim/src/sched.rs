@@ -15,8 +15,21 @@ use crate::ids::ThreadId;
 pub trait Scheduler {
     /// Returns the index (into `runnable`) of the thread to run next.
     ///
-    /// `runnable` is never empty and is sorted by thread id.
+    /// `runnable` is never empty and is sorted by thread id, without
+    /// duplicates. It changes between calls only when a thread's status
+    /// changed, so an implementation may remember the index it returned
+    /// last — but must check that the index still holds the same thread.
     fn pick(&mut self, runnable: &[ThreadId]) -> usize;
+}
+
+/// The index of `t` in `runnable`, trying `hint` (the index `t` had at the
+/// previous pick) before searching.
+fn index_of(runnable: &[ThreadId], t: ThreadId, hint: usize) -> Option<usize> {
+    if runnable.get(hint) == Some(&t) {
+        Some(hint)
+    } else {
+        runnable.iter().position(|&r| r == t)
+    }
 }
 
 /// Uniform random scheduling from a fixed seed.
@@ -50,6 +63,8 @@ pub struct RoundRobinScheduler {
     quantum: u32,
     remaining: u32,
     last: Option<ThreadId>,
+    /// The index returned for `last`.
+    last_idx: usize,
 }
 
 impl RoundRobinScheduler {
@@ -64,32 +79,32 @@ impl RoundRobinScheduler {
             quantum,
             remaining: 0,
             last: None,
+            last_idx: 0,
         }
     }
 }
 
 impl Scheduler for RoundRobinScheduler {
     fn pick(&mut self, runnable: &[ThreadId]) -> usize {
-        if let Some(last) = self.last {
-            if self.remaining > 0 {
-                if let Some(idx) = runnable.iter().position(|&t| t == last) {
-                    self.remaining -= 1;
-                    return idx;
+        let idx = match self.last {
+            Some(last) => {
+                if self.remaining > 0 {
+                    if let Some(idx) = index_of(runnable, last, self.last_idx) {
+                        self.remaining -= 1;
+                        self.last_idx = idx;
+                        return idx;
+                    }
                 }
+                // Quantum expired or thread no longer runnable: next thread
+                // id after `last`, wrapping.
+                runnable.iter().position(|&t| t > last).unwrap_or(0)
             }
-            // Quantum expired or thread no longer runnable: next thread id
-            // after `last`, wrapping.
-            let idx = runnable
-                .iter()
-                .position(|&t| t > last)
-                .unwrap_or(0);
-            self.last = Some(runnable[idx]);
-            self.remaining = self.quantum - 1;
-            return idx;
-        }
-        self.last = Some(runnable[0]);
+            None => 0,
+        };
+        self.last = Some(runnable[idx]);
+        self.last_idx = idx;
         self.remaining = self.quantum - 1;
-        0
+        idx
     }
 }
 
@@ -106,6 +121,8 @@ pub struct ChunkedRandomScheduler {
     max_quantum: u32,
     remaining: u32,
     current: Option<ThreadId>,
+    /// The index returned for `current`.
+    current_idx: usize,
 }
 
 impl ChunkedRandomScheduler {
@@ -121,6 +138,7 @@ impl ChunkedRandomScheduler {
             max_quantum,
             remaining: 0,
             current: None,
+            current_idx: 0,
         }
     }
 }
@@ -129,14 +147,16 @@ impl Scheduler for ChunkedRandomScheduler {
     fn pick(&mut self, runnable: &[ThreadId]) -> usize {
         if self.remaining > 0 {
             if let Some(cur) = self.current {
-                if let Some(idx) = runnable.iter().position(|&t| t == cur) {
+                if let Some(idx) = index_of(runnable, cur, self.current_idx) {
                     self.remaining -= 1;
+                    self.current_idx = idx;
                     return idx;
                 }
             }
         }
         let idx = self.rng.gen_range(0..runnable.len());
         self.current = Some(runnable[idx]);
+        self.current_idx = idx;
         self.remaining = self.rng.gen_range(1..=self.max_quantum) - 1;
         idx
     }
@@ -325,6 +345,80 @@ mod tests {
                 .unwrap();
             assert_eq!(summary.mem_writes, 60, "seed {seed}");
         }
+    }
+
+    /// Drives `s` for `steps` picks over a runnable set that `change`
+    /// may edit after each pick (given the step and the picked thread);
+    /// returns the picked thread ids.
+    fn drive<S: Scheduler>(
+        s: &mut S,
+        start: &[u32],
+        steps: usize,
+        mut change: impl FnMut(usize, ThreadId, &mut Vec<ThreadId>),
+    ) -> Vec<usize> {
+        let mut runnable = tids(start);
+        (0..steps)
+            .map(|step| {
+                let t = runnable[s.pick(&runnable)];
+                change(step, t, &mut runnable);
+                t.index()
+            })
+            .collect()
+    }
+
+    /// The running thread blocks mid-quantum at step 3 and wakes at step
+    /// 9: the scheduler must move on at once and never pick it while it
+    /// is blocked.
+    #[test]
+    fn running_thread_blocks_mid_quantum() {
+        let mut blocked = None;
+        let mut change = |step, t: ThreadId, runnable: &mut Vec<ThreadId>| {
+            if step == 3 {
+                runnable.retain(|&r| r != t);
+                blocked = Some(t);
+            }
+            if step == 9 {
+                let b = blocked.take().expect("blocked at step 3");
+                let at = runnable.partition_point(|&r| r < b);
+                runnable.insert(at, b);
+            }
+        };
+        let rr = drive(&mut RoundRobinScheduler::new(8), &[0, 1, 2, 3], 16, &mut change);
+        assert_eq!(rr, [0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2]);
+        let chunked = drive(
+            &mut ChunkedRandomScheduler::seeded(7, 64),
+            &[0, 1, 2, 3],
+            16,
+            &mut change,
+        );
+        assert_eq!(chunked, [2, 2, 2, 2, 0, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 0]);
+        // Undisturbed, thread 2's quantum runs past step 3.
+        let undisturbed = drive(
+            &mut ChunkedRandomScheduler::seeded(7, 64),
+            &[0, 1, 2, 3],
+            5,
+            |_, _, _| {},
+        );
+        assert_eq!(undisturbed, [2, 2, 2, 2, 2]);
+    }
+
+    /// Lower-id threads wake mid-quantum and shift the running thread's
+    /// index in the runnable set: the running thread must keep its
+    /// quantum at its new index.
+    #[test]
+    fn lower_id_wake_shifts_the_running_index() {
+        let change = |step, _t, runnable: &mut Vec<ThreadId>| {
+            if step == 2 {
+                runnable.insert(0, ThreadId::from_index(1));
+            }
+            if step == 5 {
+                runnable.insert(0, ThreadId::from_index(0));
+            }
+        };
+        let rr = drive(&mut RoundRobinScheduler::new(8), &[2, 3, 4], 16, change);
+        assert_eq!(rr, [2, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3]);
+        let chunked = drive(&mut ChunkedRandomScheduler::seeded(7, 64), &[2, 3, 4], 16, change);
+        assert_eq!(chunked, [2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]);
     }
 
     #[test]
